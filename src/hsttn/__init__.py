@@ -17,7 +17,6 @@ from .data import (
     apply_zscore,
     default_invalid_rules,
     fit_zscore,
-    invert_zscore,
     load_records,
     make_windows,
     mark_invalid,
@@ -51,7 +50,7 @@ __all__ = [
     "RngStream", "SampleWindow", "ScaleTrace", "Schema", "SplitBounds",
     "Tensor", "TrainConfig", "adam_step", "apply_zscore", "backward",
     "default_invalid_rules", "early_stop", "evaluate_model", "fit_zscore",
-    "grad_check", "invert_zscore", "load_records", "lr_schedule", "make_variant",
+    "grad_check", "load_records", "lr_schedule", "make_variant",
     "make_windows", "mark_invalid", "masked_mae", "masked_rmse", "mse_loss",
     "synth_generate", "train", "variant_config",
 ]

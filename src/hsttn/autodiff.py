@@ -77,9 +77,6 @@ class RngStream:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def integers(self, low: int, high: int, size=None):
-        return self._gen.integers(low, high, size=size)
-
 
 class Tensor:
     """Dense float64 array with optional gradient accumulator."""
@@ -110,9 +107,6 @@ class Tensor:
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad = self.grad + g
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -162,9 +156,6 @@ class GradTape:
     def __exit__(self, exc_type, exc, tb) -> bool:
         _TAPE_STACK.pop()
         return False
-
-    def backward(self, loss: Tensor) -> None:
-        backward(loss, self)
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], rule) -> Tensor:

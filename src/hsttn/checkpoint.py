@@ -1,16 +1,32 @@
-"""Checkpoint and dataset-cache serialization on the binary container."""
+"""Checkpoint serialization on the binary container."""
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
-import numpy as np
+from dataclasses import asdict, fields
 
 from .container import read_container, write_container
-from .data import NormStats, RecordSet, Schema
+from .data import NormStats
 from .errors import ContractError, IngestError
 from .model import HSTTN, ModelConfig
 from .training import Checkpoint, TrainConfig
+
+
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+# JSON value checks for each config field annotation; bools are not ints here
+_FIELD_CHECKS = {
+    "int": _is_int,
+    "float": _is_number,
+    "bool": lambda v: type(v) is bool,
+    "Optional[int]": lambda v: v is None or _is_int(v),
+    "tuple[int, ...]": lambda v: type(v) is list and all(map(_is_int, v)),
+}
 
 
 def _config_to_dict(cfg: ModelConfig) -> dict:
@@ -19,10 +35,18 @@ def _config_to_dict(cfg: ModelConfig) -> dict:
     return d
 
 
-def _config_from_dict(d: dict) -> ModelConfig:
-    d = dict(d)
-    d["pool_factors"] = tuple(d["pool_factors"])
-    return ModelConfig(**d)
+def _config_from_dict(cls, d, path):
+    """Rebuild a config dataclass from its header entry, refusing missing,
+    unknown and ill-typed fields."""
+    names = {f.name for f in fields(cls)}
+    if not isinstance(d, dict) or set(d) != names:
+        raise IngestError(f"{path}: checkpoint header does not hold the {cls.__name__} fields")
+    for f in fields(cls):
+        if not _FIELD_CHECKS[f.type](d[f.name]):
+            raise IngestError(f"{path}: checkpoint {cls.__name__}.{f.name} has the wrong type")
+    if "pool_factors" in d:
+        d = dict(d, pool_factors=tuple(d["pool_factors"]))
+    return cls(**d)
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
@@ -44,7 +68,18 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
     header, arrays = read_container(path)
     if header.get("kind") != "checkpoint":
         raise IngestError(f"{path}: container is not a checkpoint")
-    config = _config_from_dict(header["model_config"])
+    config = _config_from_dict(ModelConfig, header.get("model_config"), path)
+    train_config = _config_from_dict(TrainConfig, header.get("train_config"), path)
+    epoch, val_loss = header.get("epoch"), header.get("val_loss")
+    schema = header.get("schema", {})
+    if not (_is_int(epoch) and _is_number(val_loss) and isinstance(schema, dict)
+            and all(isinstance(v, str) for v in schema.values())):
+        raise IngestError(f"{path}: checkpoint epoch, val_loss or schema is malformed")
+    norm = [arrays.get(f"norm.{name}") for name in ("mean", "std")]
+    if any(a is None or a.shape != (config.n_channels,) for a in norm):
+        raise IngestError(
+            f"{path}: checkpoint needs norm.mean and norm.std of length {config.n_channels}"
+        )
     if expected_config is not None and config != expected_config:
         raise ContractError(
             f"checkpoint config {config} does not match the expected config "
@@ -52,15 +87,14 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
         )
     params = {name[len("param."):]: arr for name, arr in arrays.items()
               if name.startswith("param.")}
-    stats = NormStats(mean=arrays["norm.mean"], std=arrays["norm.std"])
     return Checkpoint(
         model_config=config,
         parameters=params,
-        epoch=int(header["epoch"]),
-        val_loss=float(header["val_loss"]),
-        norm_stats=stats,
-        train_config=TrainConfig(**header["train_config"]),
-        schema_dict=header.get("schema", {}),
+        epoch=epoch,
+        val_loss=float(val_loss),
+        norm_stats=NormStats(mean=norm[0], std=norm[1]),
+        train_config=train_config,
+        schema_dict=schema,
     )
 
 
@@ -68,24 +102,3 @@ def model_from_checkpoint(ckpt: Checkpoint) -> HSTTN:
     model = HSTTN(ckpt.model_config)
     model.params.load_arrays(ckpt.parameters)
     return model
-
-
-def save_dataset(path, rs: RecordSet) -> None:
-    header = {
-        "kind": "dataset",
-        "schema": rs.schema.to_dict(),
-        "turbine_ids": list(rs.turbine_ids),
-    }
-    write_container(path, header, {"values": rs.values, "validity": rs.validity})
-
-
-def load_dataset(path) -> RecordSet:
-    header, arrays = read_container(path)
-    if header.get("kind") != "dataset":
-        raise IngestError(f"{path}: container is not a dataset cache")
-    return RecordSet(
-        schema=Schema.from_dict(header["schema"]),
-        values=np.asarray(arrays["values"], dtype=np.float64),
-        validity=np.asarray(arrays["validity"], dtype=bool),
-        turbine_ids=tuple(int(t) for t in header["turbine_ids"]),
-    )

@@ -12,7 +12,7 @@ import csv
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -69,134 +69,92 @@ def _setup_logging() -> None:
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
 
 
+# ModelConfig fields the dataset or the head count decides
+_NOT_IN_FILE = ("n_turbines", "n_channels", "d_k", "d_v")
+# field names the run-config file spells differently
+_FILE_KEY = {"dropout_rate": "dropout", "initial_lr": "lr"}
+
+
 @dataclass
 class RunConfig:
-    """Everything one training run needs, parsed from a flat config file."""
+    """Everything one training run needs, parsed from a flat config file.
+
+    The keys are the fields below plus every other ModelConfig and
+    TrainConfig field, with the same defaults, except the dataset-derived
+    `n_turbines`/`n_channels` and the head widths `d_k`/`d_v`. The file
+    spells `dropout_rate` as `dropout` and `initial_lr` as `lr`. Unknown
+    keys are refused.
+    """
 
     data: Path
     schema: Path
-    train_end: int
-    val_end: int
+    train_end: int = 0
+    val_end: int = 0
     history_len: int = 144
     horizon_len: int = 144
-    d_model: int = 16
-    n_heads: int = 2
-    pool_factors: tuple[int, ...] = (3, 2)
-    layers_encoder: int = 2
-    layers_decoder: int = 1
-    dropout: float = 0.1
-    use_skip: bool = True
-    use_temporal_branch: bool = True
-    use_spatial_branch: bool = True
-    use_cfb: bool = True
-    lr: float = 1e-4
-    lr_decay: float = 0.7
-    batch_size: int = 4
-    max_epochs: int = 50
-    patience: int = 5
     seed: int = 0
     train_stride: int = 1
     val_stride: int = 1
-    eval_stride: int = 1
-    out_dir: Path = field(default_factory=lambda: Path("runs/out"))
+    out_dir: Path = Path("runs/out")
+    model: dict = field(default_factory=dict)
+    training: dict = field(default_factory=dict)
+
+    @classmethod
+    def _file_keys(cls) -> dict[str, tuple[str | None, str, object]]:
+        """File key -> (section, field name, default); section None is a run key."""
+        keys = {f.name: (None, f.name, f.default) for f in fields(cls)
+                if f.name not in ("model", "training")}
+        for section, source in (("model", ModelConfig), ("training", TrainConfig)):
+            for f in fields(source):
+                if f.name not in keys and f.name not in _NOT_IN_FILE:
+                    keys[_FILE_KEY.get(f.name, f.name)] = (section, f.name, f.default)
+        return keys
 
     @classmethod
     def load(cls, path) -> "RunConfig":
         kv = read_kv(path)
-        base = Path(path).parent
-
-        def req(key: str) -> str:
-            if key not in kv:
+        keys = cls._file_keys()
+        unknown = sorted(set(kv) - set(keys))
+        if unknown:
+            raise ConfigError(f"{path}: unknown key(s) {unknown}; known keys are {sorted(keys)}")
+        values: dict = {"model": {}, "training": {}}
+        for key, (section, name, default) in keys.items():
+            if key not in kv and default is MISSING:
                 raise ConfigError(f"{path}: missing required key {key!r}")
-            return kv[key]
-
-        def geti(key: str, default: int) -> int:
-            try:
-                return int(kv.get(key, default))
-            except ValueError:
-                raise ConfigError(f"{path}: key {key!r} must be an integer") from None
-
-        def getf(key: str, default: float) -> float:
-            try:
-                return float(kv.get(key, default))
-            except ValueError:
-                raise ConfigError(f"{path}: key {key!r} must be a number") from None
-
-        def getb(key: str, default: bool) -> bool:
-            raw = kv.get(key, str(default)).strip().lower()
-            if raw in ("true", "1", "yes", "on"):
-                return True
-            if raw in ("false", "0", "no", "off"):
-                return False
-            raise ConfigError(f"{path}: key {key!r} must be a boolean, got {raw!r}")
-
-        factors_raw = kv.get("pool_factors", "3,2").strip()
-        if factors_raw in ("", "none"):
-            factors: tuple[int, ...] = ()
-        else:
-            try:
-                factors = tuple(int(p) for p in factors_raw.split(","))
-            except ValueError:
-                raise ConfigError(
-                    f"{path}: pool_factors must be comma-separated integers"
-                ) from None
-
-        return cls(
-            data=(base / req("data")).resolve(),
-            schema=(base / req("schema")).resolve(),
-            train_end=geti("train_end", 0),
-            val_end=geti("val_end", 0),
-            history_len=geti("history_len", 144),
-            horizon_len=geti("horizon_len", 144),
-            d_model=geti("d_model", 16),
-            n_heads=geti("n_heads", 2),
-            pool_factors=factors,
-            layers_encoder=geti("layers_encoder", 2),
-            layers_decoder=geti("layers_decoder", 1),
-            dropout=getf("dropout", 0.1),
-            use_skip=getb("use_skip", True),
-            use_temporal_branch=getb("use_temporal_branch", True),
-            use_spatial_branch=getb("use_spatial_branch", True),
-            use_cfb=getb("use_cfb", True),
-            lr=getf("lr", 1e-4),
-            lr_decay=getf("lr_decay", 0.7),
-            batch_size=geti("batch_size", 4),
-            max_epochs=geti("max_epochs", 50),
-            patience=geti("patience", 5),
-            seed=geti("seed", 0),
-            train_stride=geti("train_stride", 1),
-            val_stride=geti("val_stride", 1),
-            eval_stride=geti("eval_stride", 1),
-            out_dir=base / kv.get("out_dir", "runs/out"),
-        )
+            value = _parse_value(path, key, kv[key], default) if key in kv else default
+            (values[section] if section else values)[name] = value
+        base = Path(path).parent
+        for key in ("data", "schema"):
+            values[key] = (base / values[key]).resolve()
+        values["out_dir"] = base / values["out_dir"]
+        return cls(**values)
 
     def model_config(self, n_turbines: int, n_channels: int) -> ModelConfig:
-        return ModelConfig(
-            n_turbines=n_turbines,
-            history_len=self.history_len,
-            horizon_len=self.horizon_len,
-            n_channels=n_channels,
-            d_model=self.d_model,
-            n_heads=self.n_heads,
-            pool_factors=self.pool_factors,
-            layers_encoder=self.layers_encoder,
-            layers_decoder=self.layers_decoder,
-            dropout_rate=self.dropout,
-            use_skip=self.use_skip,
-            use_temporal_branch=self.use_temporal_branch,
-            use_spatial_branch=self.use_spatial_branch,
-            use_cfb=self.use_cfb,
-        )
+        return ModelConfig(n_turbines=n_turbines, n_channels=n_channels,
+                           history_len=self.history_len, horizon_len=self.horizon_len,
+                           **self.model)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            initial_lr=self.lr,
-            lr_decay=self.lr_decay,
-            batch_size=self.batch_size,
-            max_epochs=self.max_epochs,
-            patience=self.patience,
-            seed=self.seed,
-        )
+        return TrainConfig(seed=self.seed, **self.training)
+
+
+_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
+             "false": False, "0": False, "no": False, "off": False}
+
+
+def _parse_value(path, key: str, raw: str, default):
+    """Parse `raw` as the type of the key's default; paths stay strings."""
+    kind = type(default)
+    try:
+        if kind is bool:
+            return _BOOLEANS[raw.lower()]
+        if kind is tuple:
+            return () if raw in ("", "none") else tuple(int(p) for p in raw.split(","))
+        return kind(raw) if kind in (int, float) else raw
+    except (KeyError, ValueError):
+        expected = {bool: "a boolean", int: "an integer", float: "a number",
+                    tuple: "comma-separated integers"}
+        raise ConfigError(f"{path}: key {key!r} must be {expected[kind]}, got {raw!r}") from None
 
 
 def _load_and_prepare(data_path, schema_path) -> RecordSet:
@@ -365,10 +323,15 @@ def _read_grid(path) -> dict[tuple[int, int], float]:
         header = next(reader, None)
         if header is None or len(header) < 3:
             raise IngestError(f"{path}: expected a (turbine, step, value) table")
-        for cells in reader:
+        for lineno, cells in enumerate(reader, start=2):
             if not cells:
                 continue
-            grid[(int(cells[0]), int(cells[1]))] = float(cells[2])
+            try:
+                grid[(int(cells[0]), int(cells[1]))] = float(cells[2])
+            except (ValueError, IndexError):
+                raise IngestError(
+                    f"{path}:{lineno}: expected integer turbine and step and a numeric value"
+                ) from None
     if not grid:
         raise IngestError(f"{path}: no rows")
     return grid

@@ -1,13 +1,14 @@
 """Versioned binary container: a JSON header followed by named arrays.
 
-Used for both model checkpoints and dataset caches. Writing is fully
-deterministic (sorted JSON keys, insertion-ordered tensors, little-endian
-payloads), so identical state produces byte-identical files.
+Model checkpoints are stored in it. Writing is fully deterministic (sorted
+JSON keys, insertion-ordered tensors, little-endian payloads), so
+identical state produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -71,19 +72,29 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     if version != VERSION:
         raise IngestError(f"{path}: unsupported container version {version}")
     (header_len,) = struct.unpack("<Q", take(8))
-    header = json.loads(bytes(take(header_len)).decode("utf-8"))
+    try:
+        header = json.loads(bytes(take(header_len)).decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise IngestError(f"{path}: corrupt container header: {exc}") from None
+    if not isinstance(header, dict):
+        raise IngestError(f"{path}: container header is not a JSON object")
     (n_arrays,) = struct.unpack("<I", take(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(n_arrays):
         (name_len,) = struct.unpack("<H", take(2))
-        name = bytes(take(name_len)).decode("utf-8")
+        try:
+            name = bytes(take(name_len)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise IngestError(f"{path}: corrupt array name") from None
         (code,) = struct.unpack("<B", take(1))
         (ndim,) = struct.unpack("<B", take(1))
+        if ndim > 32:  # numpy's dimension limit before 2.0
+            raise IngestError(f"{path}: array {name!r} has {ndim} dimensions")
         shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
         dtype = _CODE_DTYPES.get(code)
         if dtype is None:
             raise IngestError(f"{path}: unknown dtype code {code} for array {name!r}")
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         data = np.frombuffer(take(count * dtype.itemsize), dtype=dtype).reshape(shape)
         arrays[name] = data.copy()
     return header, arrays

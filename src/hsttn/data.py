@@ -29,6 +29,9 @@ DEFAULT_CHANNELS = (
     "Prtv", "Rspd", "Gspd", "Tnac", "Patv",
 )
 
+# optional column roles the validity rules read
+_ROLES = ("wind_speed", "wind_direction", "nacelle_direction")
+
 
 @dataclass(frozen=True)
 class Schema:
@@ -47,7 +50,7 @@ class Schema:
     def __post_init__(self):
         if self.target not in self.channels:
             raise ConfigError(f"target {self.target!r} is not one of the channels")
-        for role in ("wind_speed", "wind_direction", "nacelle_direction"):
+        for role in _ROLES:
             name = getattr(self, role)
             if name is not None and name not in self.channels:
                 raise ConfigError(f"{role} column {name!r} is not one of the channels")
@@ -73,27 +76,24 @@ class Schema:
 
     @classmethod
     def load(cls, path) -> "Schema":
+        """Read a schema file; absent keys take the dataclass defaults, except
+        the column roles, which an absent or `none` entry leaves unset."""
         kv = read_kv(path)
-        try:
-            channels = tuple(c.strip() for c in kv["channels"].split(",") if c.strip())
-        except KeyError:
-            raise ConfigError(f"{path}: schema file must declare 'channels'") from None
-
-        def opt(key):
-            value = kv.get(key, "")
-            return value if value and value.lower() != "none" else None
-
-        return cls(
-            channels=channels,
-            target=kv.get("target", "Patv"),
-            id_column=kv.get("id_column", "TurbID"),
-            day_column=kv.get("day_column", "Day"),
-            time_column=kv.get("time_column", "Tmstamp"),
-            step_minutes=int(kv.get("step_minutes", "10")),
-            wind_speed=opt("wind_speed"),
-            wind_direction=opt("wind_direction"),
-            nacelle_direction=opt("nacelle_direction"),
-        )
+        if "channels" not in kv:
+            raise ConfigError(f"{path}: schema file must declare 'channels'")
+        args = {key: kv[key] for key in ("target", "id_column", "day_column", "time_column")
+                if key in kv}
+        if "step_minutes" in kv:
+            try:
+                args["step_minutes"] = int(kv["step_minutes"])
+            except ValueError:
+                raise ConfigError(f"{path}: step_minutes must be an integer, "
+                                  f"got {kv['step_minutes']!r}") from None
+        for role in _ROLES:
+            value = kv.get(role, "")
+            args[role] = value if value and value.lower() != "none" else None
+        return cls(channels=tuple(c.strip() for c in kv["channels"].split(",") if c.strip()),
+                   **args)
 
     def save(self, path) -> None:
         write_kv(path, self.to_dict(), header="farm record schema")
@@ -110,25 +110,6 @@ class Schema:
             "wind_direction": self.wind_direction or "none",
             "nacelle_direction": self.nacelle_direction or "none",
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Schema":
-        def opt(key):
-            value = d.get(key)
-            return value if value and str(value).lower() != "none" else None
-
-        return cls(
-            channels=tuple(d["channels"].split(",")) if isinstance(d["channels"], str)
-            else tuple(d["channels"]),
-            target=d.get("target", "Patv"),
-            id_column=d.get("id_column", "TurbID"),
-            day_column=d.get("day_column", "Day"),
-            time_column=d.get("time_column", "Tmstamp"),
-            step_minutes=int(d.get("step_minutes", 10)),
-            wind_speed=opt("wind_speed"),
-            wind_direction=opt("wind_direction"),
-            nacelle_direction=opt("nacelle_direction"),
-        )
 
 
 @dataclass
@@ -175,14 +156,17 @@ def _parse_time(text: str, step_minutes: int, path, lineno: int) -> int:
     if len(parts) < 2:
         raise IngestError(f"{path}:{lineno}: cannot parse time of day {text!r}")
     try:
-        minutes = int(parts[0]) * 60 + int(parts[1])
+        hours, minutes = int(parts[0]), int(parts[1])
     except ValueError:
         raise IngestError(f"{path}:{lineno}: cannot parse time of day {text!r}") from None
-    if minutes % step_minutes != 0:
+    if not (0 <= hours < 24 and 0 <= minutes < 60):
+        raise IngestError(f"{path}:{lineno}: time of day {text!r} is out of range")
+    minute_of_day = hours * 60 + minutes
+    if minute_of_day % step_minutes != 0:
         raise IngestError(
             f"{path}:{lineno}: time {text!r} is not aligned to {step_minutes}-minute slots"
         )
-    return minutes // step_minutes
+    return minute_of_day // step_minutes
 
 
 def load_records(path, schema: Schema) -> RecordSet:
@@ -360,11 +344,6 @@ def apply_zscore(rs: RecordSet, stats: NormStats) -> RecordSet:
     normalized[~rs.validity] = 0.0
     normalized[~np.isfinite(normalized)] = 0.0
     return replace(rs, values=normalized)
-
-
-def invert_zscore(values: np.ndarray, stats: NormStats, channel: int | None = None
-                  ) -> np.ndarray:
-    return stats.invert(values, channel)
 
 
 @dataclass(frozen=True)

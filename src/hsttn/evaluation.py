@@ -122,9 +122,12 @@ def masked_rmse(y: np.ndarray, y_hat: np.ndarray, mask: np.ndarray) -> float:
 
 def predict_window(model: HSTTN, window: SampleWindow, stats: NormStats,
                    target_channel: int) -> np.ndarray:
-    """Denormalized (N, F) predictions for one window."""
-    y_hat = model.forward(Tensor(window.history)).data[:, :, 0]
-    return stats.invert(y_hat, target_channel)
+    """Denormalized (N, F) predictions for one window; non-finite values
+    are an error, never a forecast."""
+    y_hat = stats.invert(model.forward(Tensor(window.history)).data[:, :, 0], target_channel)
+    if not np.isfinite(y_hat).all():
+        raise EvaluationError(f"non-finite predictions for the window at origin {window.origin}")
+    return y_hat
 
 
 def evaluate_model(model: HSTTN, windows: Sequence[SampleWindow], stats: NormStats,

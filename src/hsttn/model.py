@@ -39,7 +39,18 @@ from .autodiff import (
 )
 from .errors import ConfigError, ContractError, ShapeError
 
-VARIANT_NAMES = ("hsttn", "sttn", "2sttn", "4sttn", "noskip", "t_only", "s_only", "st_only")
+_VARIANT_EDITS = {
+    "hsttn": dict(pool_factors=(3, 2), use_skip=True, use_temporal_branch=True,
+                  use_spatial_branch=True, use_cfb=True),
+    "sttn": dict(pool_factors=()),
+    "2sttn": dict(pool_factors=(3,)),
+    "4sttn": dict(pool_factors=(3, 2, 2)),
+    "noskip": dict(use_skip=False),
+    "t_only": dict(use_spatial_branch=False),
+    "s_only": dict(use_temporal_branch=False),
+    "st_only": dict(use_cfb=False),
+}
+VARIANT_NAMES = tuple(_VARIANT_EDITS)
 
 
 @dataclass(frozen=True)
@@ -128,24 +139,9 @@ class ModelConfig:
 
 def variant_config(base: ModelConfig, name: str) -> ModelConfig:
     """Structural ablations expressed as config edits of a base model."""
-    if name == "hsttn":
-        return replace(base, pool_factors=(3, 2), use_skip=True,
-                       use_temporal_branch=True, use_spatial_branch=True, use_cfb=True)
-    if name == "sttn":
-        return replace(base, pool_factors=())
-    if name == "2sttn":
-        return replace(base, pool_factors=(3,))
-    if name == "4sttn":
-        return replace(base, pool_factors=(3, 2, 2))
-    if name == "noskip":
-        return replace(base, use_skip=False)
-    if name == "t_only":
-        return replace(base, use_spatial_branch=False)
-    if name == "s_only":
-        return replace(base, use_temporal_branch=False)
-    if name == "st_only":
-        return replace(base, use_cfb=False)
-    raise ConfigError(f"unknown variant {name!r}, expected one of {VARIANT_NAMES}")
+    if name not in _VARIANT_EDITS:
+        raise ConfigError(f"unknown variant {name!r}, expected one of {VARIANT_NAMES}")
+    return replace(base, **_VARIANT_EDITS[name])
 
 
 def sinusoid_table(length: int, width: int) -> np.ndarray:
@@ -178,9 +174,6 @@ class ModelParameters:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
 
     def items(self):
         return self._tensors.items()
@@ -348,48 +341,36 @@ def attention(
     return out
 
 
-def msa(x: Tensor, weights: AttentionWeights, n_heads: int,
-        trace: ScaleTrace | None = None) -> Tensor:
-    """Multi-head self-attention over one sequence or a batch of them."""
-    return attention(x, x, weights, n_heads, trace)
-
-
-def cross_attention(dec: Tensor, enc: Tensor, weights: AttentionWeights, n_heads: int,
-                    trace: ScaleTrace | None = None) -> Tensor:
-    """Attention with queries from the decoder and keys/values from the
-    same-scale encoder output."""
-    return attention(dec, enc, weights, n_heads, trace)
-
-
-def contextual_fusion(attn_tem: Tensor, attn_spa: Tensor, w: Tensor, b: Tensor
-                      ) -> tuple[Tensor, Tensor]:
-    """Join the two branch outputs into one enhanced map.
-
-    `attn_tem` is turbine-major (N, L, d); `attn_spa` is timestep-major
-    (L, N, d). Both are stacked to the grid shape, concatenated along
-    channels (spatial block first), squeezed back to d channels by a 1x1
-    conv with ReLU, and returned as the two decoupled views.
-    """
-    if attn_tem.ndim != 3 or attn_spa.ndim != 3:
-        raise ShapeError(
-            f"contextual_fusion expects 3-D branch maps, got {attn_tem.shape}, {attn_spa.shape}"
-        )
-    n, length, d = attn_tem.shape
-    if attn_spa.shape != (length, n, d):
-        raise ShapeError(
-            f"branch shapes disagree: temporal {attn_tem.shape} vs spatial {attn_spa.shape}"
-        )
-    fused = _fuse_maps(permute(attn_spa, (1, 0, 2)), attn_tem, w, b)
-    return fused, permute(fused, (1, 0, 2))
-
-
 def _fuse_maps(spa_map: Tensor, tem_map: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    # both maps turbine-major (N, L, d); spatial channels lead the concat
+    """Contextual fusion block: concatenate the two turbine-major (N, L, d)
+    branch maps along channels (spatial block first) and squeeze them back
+    to d channels with a 1x1 conv and ReLU."""
     return pointwise_conv(concat([spa_map, tem_map], axis=2), w, b, activation=True)
 
 
-def _spatial_view(m: Tensor) -> Tensor:
-    return permute(m, (1, 0, 2))
+# The branches that update each state map: the fused model keeps one map
+# that both branches read and the fusion block joins; the unfused variants
+# keep one map per branch.
+_BRANCHES = {"st": ("tem", "spa"), "tem": ("tem",), "spa": ("spa",)}
+
+
+def _view(branch: str, m: Tensor) -> Tensor:
+    """The sequences `branch` attends along: a turbine-major (N, L, d) map
+    is per-turbine time for `tem` and, swapped to (L, N, d), per-timestep
+    turbines for `spa`. The swap is its own inverse."""
+    return permute(m, (1, 0, 2)) if branch == "spa" else m
+
+
+def _residual(m: Tensor, maps: list[Tensor], fuse: tuple[Tensor, Tensor] | None) -> Tensor:
+    """Add a layer's branch output to its input, joining the temporal and
+    spatial maps through the fusion block first when the layer has one."""
+    joined = maps[0] if fuse is None else _fuse_maps(maps[1], maps[0], *fuse)
+    return add(joined, m)
+
+
+def _fusion_weights(store: ModelParameters, prefix: str, cfg: ModelConfig
+                    ) -> tuple[Tensor, Tensor] | None:
+    return (store[f"{prefix}.cfb.w"], store[f"{prefix}.cfb.b"]) if cfg.fused else None
 
 
 class EncoderLayer:
@@ -401,25 +382,18 @@ class EncoderLayer:
             self.tem = AttentionWeights.from_store(store, f"{prefix}.tem")
         if cfg.use_spatial_branch:
             self.spa = AttentionWeights.from_store(store, f"{prefix}.spa")
-        if cfg.fused:
-            self.fuse_w = store[f"{prefix}.cfb.w"]
-            self.fuse_b = store[f"{prefix}.cfb.b"]
+        self.fuse = _fusion_weights(store, prefix, cfg)
 
     def __call__(self, state: dict[str, Tensor], trace: ScaleTrace | None = None
                  ) -> dict[str, Tensor]:
-        cfg = self.cfg
-        if cfg.fused:
-            m = state["st"]
-            a_tem = msa(m, self.tem, cfg.n_heads, trace)
-            a_spa_t = _spatial_view(msa(_spatial_view(m), self.spa, cfg.n_heads, trace))
-            fused = _fuse_maps(a_spa_t, a_tem, self.fuse_w, self.fuse_b)
-            return {"st": add(fused, m)}
         out = {}
-        if cfg.use_temporal_branch:
-            out["tem"] = add(msa(state["tem"], self.tem, cfg.n_heads, trace), state["tem"])
-        if cfg.use_spatial_branch:
-            a = _spatial_view(msa(_spatial_view(state["spa"]), self.spa, cfg.n_heads, trace))
-            out["spa"] = add(a, state["spa"])
+        for key, m in state.items():
+            maps = []
+            for branch in _BRANCHES[key]:
+                v = _view(branch, m)
+                a = attention(v, v, getattr(self, branch), self.cfg.n_heads, trace)
+                maps.append(_view(branch, a))
+            out[key] = _residual(m, maps, self.fuse)
         return out
 
 
@@ -436,45 +410,27 @@ class DecoderLayer:
         if cfg.use_spatial_branch:
             self.spa_self = AttentionWeights.from_store(store, f"{prefix}.spa.self")
             self.spa_cross = AttentionWeights.from_store(store, f"{prefix}.spa.cross")
-        if cfg.fused:
-            self.fuse_w = store[f"{prefix}.cfb.w"]
-            self.fuse_b = store[f"{prefix}.cfb.b"]
+        self.fuse = _fusion_weights(store, prefix, cfg)
 
     def __call__(self, state: dict[str, Tensor], enc_state: dict[str, Tensor],
                  expected_enc_len: int, trace: ScaleTrace | None = None) -> dict[str, Tensor]:
-        cfg = self.cfg
-        for key, enc in enc_state.items():
-            if enc.shape[-2] != expected_enc_len:
-                raise ContractError(
-                    f"encoder output for branch {key!r} has length {enc.shape[-2]}, "
-                    f"expected the scale length {expected_enc_len}"
-                )
-
-        def tem_branch(m: Tensor, enc: Tensor) -> Tensor:
-            s = msa(m, self.tem_self, cfg.n_heads, trace)
-            return add(cross_attention(s, enc, self.tem_cross, cfg.n_heads, trace), s)
-
-        def spa_branch(m: Tensor, enc: Tensor) -> Tensor:
-            s = msa(_spatial_view(m), self.spa_self, cfg.n_heads, trace)
-            c = add(cross_attention(s, _spatial_view(enc), self.spa_cross, cfg.n_heads, trace), s)
-            return _spatial_view(c)
-
-        if cfg.fused:
-            m, enc = state["st"], enc_state["st"]
-            if enc.shape[-2] != m.shape[-2]:
-                raise ContractError(
-                    f"decoder length {m.shape[-2]} does not match encoder length "
-                    f"{enc.shape[-2]} at this scale"
-                )
-            c_tem = tem_branch(m, enc)
-            c_spa_t = spa_branch(m, enc)
-            fused = _fuse_maps(c_spa_t, c_tem, self.fuse_w, self.fuse_b)
-            return {"st": add(fused, m)}
+        n_heads = self.cfg.n_heads
         out = {}
-        if cfg.use_temporal_branch:
-            out["tem"] = add(tem_branch(state["tem"], enc_state["tem"]), state["tem"])
-        if cfg.use_spatial_branch:
-            out["spa"] = add(spa_branch(state["spa"], enc_state["spa"]), state["spa"])
+        for key, m in state.items():
+            enc = enc_state[key]
+            if not m.shape[-2] == enc.shape[-2] == expected_enc_len:
+                raise ContractError(
+                    f"branch {key!r}: decoder length {m.shape[-2]} and encoder length "
+                    f"{enc.shape[-2]} must both equal the scale length {expected_enc_len}"
+                )
+            maps = []
+            for branch in _BRANCHES[key]:
+                v = _view(branch, m)
+                s = attention(v, v, getattr(self, f"{branch}_self"), n_heads, trace)
+                c = attention(s, _view(branch, enc), getattr(self, f"{branch}_cross"),
+                              n_heads, trace)
+                maps.append(_view(branch, add(c, s)))
+            out[key] = _residual(m, maps, self.fuse)
         return out
 
 
@@ -521,19 +477,6 @@ class HSTTN:
         turb = reshape(self.params["turbine_table"], (cfg.n_turbines, 1, cfg.d_model))
         return add(f, turb)
 
-    def embed_inputs(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Embed a history grid and return its two decoupled views:
-        turbine-major (N, L, d) and timestep-major (L, N, d)."""
-        m = self._embed(x, np.arange(x.shape[1]))
-        return m, permute(m, (1, 0, 2))
-
-    def _init_state(self, m: Tensor) -> dict[str, Tensor]:
-        return {name: m for name in self.config.branch_names}
-
-    @staticmethod
-    def _pool_state(state: dict[str, Tensor], p: int) -> dict[str, Tensor]:
-        return {k: maxpool1d(v, p) for k, v in state.items()}
-
     def forward(self, x: Tensor, training: bool = False, rng: RngStream | None = None,
                 trace: ScaleTrace | None = None) -> Tensor:
         cfg = self.config
@@ -547,7 +490,7 @@ class HSTTN:
         else:
             trace.reset()
 
-        state = self._init_state(self._embed(x, np.arange(cfg.history_len)))
+        state = dict.fromkeys(cfg.branch_names, self._embed(x, np.arange(cfg.history_len)))
         n_transitions = len(cfg.pool_factors)
         for s in range(cfg.n_scales):
             for layer in self.enc_layers[s]:
@@ -555,14 +498,14 @@ class HSTTN:
             trace.encoder_lengths.append(next(iter(state.values())).shape[-2])
             trace.encoder_states.append(state)
             if s < n_transitions:
-                state = self._pool_state(state, cfg.pool_factors[s])
+                state = {k: maxpool1d(m, cfg.pool_factors[s]) for k, m in state.items()}
 
         future_positions = np.arange(cfg.history_len, cfg.history_len + cfg.horizon_len)
         dec_in = build_decoder_input(future_positions, cfg.n_turbines, cfg.n_channels)
-        dstate = self._init_state(self._embed(dec_in, future_positions))
+        dstate = dict.fromkeys(cfg.branch_names, self._embed(dec_in, future_positions))
         total = int(np.prod(cfg.pool_factors)) if cfg.pool_factors else 1
         if total > 1:
-            dstate = self._pool_state(dstate, total)
+            dstate = {k: maxpool1d(m, total) for k, m in dstate.items()}
 
         for s in range(cfg.n_scales - 1, -1, -1):
             trace.decoder_lengths.append(next(iter(dstate.values())).shape[-2])
@@ -578,15 +521,11 @@ class HSTTN:
                         m, self.params[f"up.t{t}.{key}.w"], self.params[f"up.t{t}.{key}.b"])
                 dstate = merged
 
-        enc0 = trace.encoder_states[0]
-        if cfg.fused:
-            head_in = concat([enc0["st"], dstate["st"]], axis=2)
-        elif cfg.use_temporal_branch and cfg.use_spatial_branch:
-            head_in = concat([dstate["tem"], dstate["spa"]], axis=2)
-        elif cfg.use_temporal_branch:
-            head_in = concat([enc0["tem"], dstate["tem"]], axis=2)
-        else:
-            head_in = concat([enc0["spa"], dstate["spa"]], axis=2)
+        # one state map: original-scale encoder and decoder outputs side by
+        # side; two unfused maps: the temporal and spatial decoder outputs
+        parts = (list(dstate.values()) if len(dstate) == 2
+                 else [*trace.encoder_states[0].values(), *dstate.values()])
+        head_in = concat(parts, axis=2)
         return self.regress(head_in, training=training, rng=rng)
 
     def regress(self, features: Tensor, training: bool = False,

@@ -64,6 +64,21 @@ class TestContainer:
         with pytest.raises(IngestError, match="truncated"):
             read_container(path)
 
+    def test_corrupt_header_bytes(self, tmp_path):
+        path = tmp_path / "c.bin"
+        write_container(path, {"kind": "t"}, {"x": np.ones(2)})
+        blob = bytearray(path.read_bytes())
+        blob[16] = 0xFF  # first header byte: invalid UTF-8
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IngestError, match="header"):
+            read_container(path)
+
+    def test_header_must_be_object(self, tmp_path):
+        path = tmp_path / "c.bin"
+        write_container(path, [1, 2], {"x": np.ones(2)})
+        with pytest.raises(IngestError, match="not a JSON object"):
+            read_container(path)
+
     def test_byte_determinism(self, tmp_path):
         arrays = {"w": np.linspace(0, 1, 7)}
         write_container(tmp_path / "a.bin", {"k": 1}, arrays)
@@ -109,6 +124,40 @@ class TestCheckpoint:
         restored = model_from_checkpoint(load_checkpoint(path))
         x = np.random.default_rng(5).normal(size=(2, 6, 3))
         assert np.array_equal(original.predict(x), restored.predict(x))
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.pop("epoch"),
+        lambda h: h.update(val_loss="low"),
+        lambda h: h.update(schema=[1]),
+        lambda h: h["model_config"].pop("d_model"),
+        lambda h: h["model_config"].update(d_model="4"),
+        lambda h: h["model_config"].update(use_skip=1),
+        lambda h: h["model_config"].update(pool_factors=[3.0]),
+        lambda h: h["train_config"].update(extra=1),
+        lambda h: h.update(model_config=None),
+    ])
+    def test_malformed_header_is_ingest_error(self, tmp_path, edit):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, make_checkpoint())
+        header, arrays = read_container(path)
+        edit(header)
+        write_container(path, header, arrays)
+        with pytest.raises(IngestError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["norm.mean", "norm.std"])
+    def test_missing_or_misshapen_norm_arrays(self, tmp_path, name):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, make_checkpoint())
+        header, arrays = read_container(path)
+        arrays[name] = arrays[name][:2]
+        write_container(path, header, arrays)
+        with pytest.raises(IngestError, match="norm"):
+            load_checkpoint(path)
+        del arrays[name]
+        write_container(path, header, arrays)
+        with pytest.raises(IngestError, match="norm"):
+            load_checkpoint(path)
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "d.bin"

@@ -1,13 +1,18 @@
 import csv
 from xml.etree import ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hsttn.checkpoint import load_checkpoint, model_from_checkpoint
-from hsttn.cli import main
+from hsttn.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
+from hsttn.cli import RunConfig, main
 from hsttn.data import Schema, apply_zscore, default_invalid_rules, load_records, \
     make_windows, mark_invalid
 from hsttn.evaluation import evaluate_model, predict_window
+from hsttn.model import ModelConfig
+from hsttn.training import TrainConfig
 
 RUN_CONFIG = """\
 # desk-scale run
@@ -94,6 +99,28 @@ class TestTrain:
         cfg.write_text(bad)
         assert main(["train", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("line", ["lerning_rate = 0.1", "eval_stride = 1",
+                                      "dropout_rate = 0.1", "d_k = 2"])
+    def test_unknown_key_is_usage_error(self, workspace, tmp_path, line):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text((workspace / "run.cfg").read_text() + line + "\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+
+    def test_missing_keys_take_config_defaults(self, tmp_path):
+        cfg = tmp_path / "min.cfg"
+        cfg.write_text("data = d.csv\nschema = d.schema\n")
+        run = RunConfig.load(cfg)
+        assert run.model_config(n_turbines=3, n_channels=5) == ModelConfig(
+            n_turbines=3, n_channels=5, history_len=144, horizon_len=144)
+        assert run.train_config() == TrainConfig()
+
+    def test_renamed_keys(self, tmp_path):
+        cfg = tmp_path / "renamed.cfg"
+        cfg.write_text("data = d.csv\nschema = d.schema\ndropout = 0.25\nlr = 0.5\n")
+        run = RunConfig.load(cfg)
+        assert run.model_config(n_turbines=1, n_channels=1).dropout_rate == 0.25
+        assert run.train_config().initial_lr == 0.5
+
     def test_missing_data_is_io_error(self, workspace, tmp_path):
         bad = (workspace / "run.cfg").read_text().replace("synthetic.csv", "missing.csv")
         cfg = tmp_path / "bad.cfg"
@@ -179,6 +206,41 @@ class TestEvaluate:
         assert code == 4
 
 
+class TestNonFinite:
+    def test_nan_parameters_fail_evaluate_and_predict(self, workspace, tmp_path):
+        ckpt = load_checkpoint(workspace / "run_out" / "checkpoint.bin")
+        ckpt.parameters["head.b"] = np.array([np.nan])
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, ckpt)
+        data = ["--checkpoint", str(path), "--data", str(workspace / "synthetic.csv"),
+                "--schema", str(workspace / "synthetic.schema")]
+        assert main(["evaluate", *data, "--start", "130", "--out", str(tmp_path / "e")]) == 4
+        assert not (tmp_path / "e" / "report.kv").exists()
+        assert main(["predict", *data, "--origin", "140", "--out", str(tmp_path / "p")]) == 4
+        assert not (tmp_path / "p" / "forecast.csv").exists()
+
+
+class TestCorruptCheckpoint:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_flips_and_truncations_give_documented_exit_codes(self, workspace, data):
+        blob = bytearray((workspace / "run_out" / "checkpoint.bin").read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            flips = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255))
+            for index, mask in data.draw(st.lists(flips, min_size=1, max_size=4), label="flips"):
+                blob[index] ^= mask
+        fuzz = workspace / "fuzz"
+        fuzz.mkdir(exist_ok=True)
+        (fuzz / "checkpoint.bin").write_bytes(bytes(blob))
+        code = main(["evaluate", "--checkpoint", str(fuzz / "checkpoint.bin"),
+                     "--data", str(workspace / "synthetic.csv"),
+                     "--schema", str(workspace / "synthetic.schema"),
+                     "--start", "130", "--stride", "6", "--out", str(fuzz / "out")])
+        assert code in (0, 2, 3, 4)
+
+
 class TestPlot:
     @pytest.fixture()
     def forecast_files(self, workspace, tmp_path):
@@ -211,6 +273,14 @@ class TestPlot:
         forecast, truth = forecast_files
         assert main(["plot", "--forecast", str(forecast), "--truth", str(truth),
                      "--turbine", "9", "--out", str(tmp_path / "x.svg")]) == 2
+
+    @pytest.mark.parametrize("row", ["x,0,1.0", "0,1.5,1.0", "0,1", "0,1,high"])
+    def test_malformed_row_is_io_error(self, forecast_files, tmp_path, row):
+        forecast, truth = forecast_files
+        bad = tmp_path / "bad.csv"
+        bad.write_text(forecast.read_text() + row + "\n")
+        assert main(["plot", "--forecast", str(bad), "--truth", str(truth),
+                     "--turbine", "0", "--out", str(tmp_path / "x.svg")]) == 3
 
     def test_grid_mismatch(self, forecast_files, tmp_path):
         forecast, truth = forecast_files

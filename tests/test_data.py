@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsttn.checkpoint import load_dataset, save_dataset
 from hsttn.data import (
     InvalidRule,
     NormStats,
@@ -14,7 +13,6 @@ from hsttn.data import (
     default_invalid_rules,
     drop_fully_invalid,
     fit_zscore,
-    invert_zscore,
     load_records,
     make_windows,
     mark_invalid,
@@ -106,6 +104,14 @@ class TestLoadRecords:
         with pytest.raises(IngestError, match=":2"):
             load_records(path, small_schema())
 
+    @pytest.mark.parametrize("stamp", ["01:70", "24:00", "-1:10"])
+    def test_time_of_day_out_of_range_names_row(self, tmp_path, stamp):
+        path = tmp_path / "farm.csv"
+        write_rows(path, HEADER, [[1, 1, "00:00", 5.0, 10.0, 100.0],
+                                  [1, 1, stamp, 5.0, 10.0, 100.0]])
+        with pytest.raises(IngestError, match=r"farm\.csv:3: time of day .* out of range"):
+            load_records(path, small_schema())
+
     def test_duplicate_record_rejected(self, tmp_path):
         path = tmp_path / "farm.csv"
         write_rows(path, HEADER, [
@@ -171,7 +177,7 @@ class TestZscore:
     def test_round_trip(self):
         rs = synth_generate(2, 100, 3, seed=2)
         stats = fit_zscore(rs, (0, 100))
-        back = invert_zscore(stats.apply(rs.values), stats)
+        back = stats.invert(stats.apply(rs.values))
         assert np.all(np.abs(back - rs.values) < 1e-10)
 
     @given(st.floats(-1e3, 1e3), st.floats(0.1, 100.0), st.integers(0, 2 ** 31 - 1))
@@ -180,7 +186,7 @@ class TestZscore:
         rng = np.random.default_rng(seed)
         values = mean + spread * rng.normal(size=(2, 30, 1))
         stats = NormStats(mean=np.array([values.mean()]), std=np.array([values.std() + 0.1]))
-        back = invert_zscore(stats.apply(values), stats)
+        back = stats.invert(stats.apply(values))
         assert np.all(np.abs(back - values) < 1e-10 * max(1.0, abs(mean) + spread))
 
     def test_constant_channel_floored(self):
@@ -316,20 +322,6 @@ class TestSynth:
 
 
 class TestCacheRoundTrip:
-    def test_lossless(self, tmp_path):
-        rs = synth_generate(3, 80, 5, seed=3)
-        validity = rs.validity.copy()
-        validity[1, 10:20] = False
-        rs = RecordSet(schema=rs.schema, values=rs.values, validity=validity,
-                       turbine_ids=rs.turbine_ids)
-        path = tmp_path / "cache.bin"
-        save_dataset(path, rs)
-        back = load_dataset(path)
-        assert np.array_equal(back.values, rs.values)
-        assert np.array_equal(back.validity, rs.validity)
-        assert back.schema == rs.schema
-        assert back.turbine_ids == rs.turbine_ids
-
     def test_csv_reload_preserves_values(self, tmp_path):
         rs = synth_generate(2, 60, 4, seed=4)
         path = tmp_path / "farm.csv"
@@ -351,6 +343,18 @@ class TestSchemaFile:
         path.write_text("target = Patv\n")
         with pytest.raises(ConfigError):
             Schema.load(path)
+
+    def test_non_integer_step_minutes(self, tmp_path):
+        path = tmp_path / "bad.schema"
+        path.write_text("channels = Wspd,Patv\nstep_minutes = ten\n")
+        with pytest.raises(ConfigError, match="step_minutes"):
+            Schema.load(path)
+
+    def test_absent_keys_take_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "min.schema"
+        path.write_text("channels = Wspd,Patv\n")
+        assert Schema.load(path) == Schema(channels=("Wspd", "Patv"), wind_speed=None,
+                                           wind_direction=None, nacelle_direction=None)
 
     def test_target_must_be_channel(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsttn.autodiff import RngStream, Tensor
+from hsttn.autodiff import RngStream, Tensor, permute
 from hsttn.errors import ConfigError, ContractError, ShapeError
 from hsttn.model import (
     HSTTN,
@@ -11,11 +11,10 @@ from hsttn.model import (
     ModelConfig,
     ModelParameters,
     ScaleTrace,
+    _fuse_maps,
+    attention,
     build_decoder_input,
-    contextual_fusion,
-    cross_attention,
     make_variant,
-    msa,
     variant_config,
 )
 
@@ -37,6 +36,18 @@ def random_weights(rng, d, h, scale=0.5) -> AttentionWeights:
 
 def zero_weights(d) -> AttentionWeights:
     return weights_from([np.zeros((d, d)) for _ in range(4)])
+
+
+def attend_along(m: Tensor, weights: AttentionWeights, n_heads: int, axis: int) -> Tensor:
+    """Self-attention over one axis of a turbine-major (N, L, d) map.
+
+    `attention` attends along the second-to-last axis, so axis 1 attends
+    along time within each turbine, and axis 0 across turbines within each
+    timestep, through the timestep-major (L, N, d) view."""
+    if axis == 1:
+        return attention(m, m, weights, n_heads)
+    view = permute(m, (1, 0, 2))
+    return permute(attention(view, view, weights, n_heads), (1, 0, 2))
 
 
 class TestConfig:
@@ -72,7 +83,8 @@ class TestEmbedding:
         for name in arrays:
             arrays[name] = np.zeros_like(arrays[name])
         model.params.load_arrays(arrays)
-        f_tem, f_spa = model.embed_inputs(Tensor(np.zeros((2, 6, 3))))
+        f_tem = model._embed(Tensor(np.zeros((2, 6, 3))), np.arange(6))
+        f_spa = permute(f_tem, (1, 0, 2))
         assert np.array_equal(f_tem.data, np.zeros((2, 6, 4)))
         assert np.array_equal(f_spa.data, np.zeros((6, 2, 4)))
 
@@ -80,14 +92,17 @@ class TestEmbedding:
         cfg = tiny_config(n_turbines=2, history_len=4, horizon_len=4,
                           n_channels=3, d_model=16, pool_factors=(2,))
         model = HSTTN(cfg, seed=1)
-        f_tem, f_spa = model.embed_inputs(Tensor(np.random.default_rng(0).normal(size=(2, 4, 3))))
+        f_tem = model._embed(Tensor(np.random.default_rng(0).normal(size=(2, 4, 3))),
+                             np.arange(4))
+        f_spa = permute(f_tem, (1, 0, 2))
         assert f_tem.shape == (2, 4, 16)
         assert f_spa.shape == (4, 2, 16)
 
     def test_dual_view_consistency(self):
         model = HSTTN(tiny_config(), seed=2)
         x = np.random.default_rng(1).normal(size=(2, 6, 3))
-        f_tem, f_spa = model.embed_inputs(Tensor(x))
+        f_tem = model._embed(Tensor(x), np.arange(6))
+        f_spa = permute(f_tem, (1, 0, 2))
         for n in range(2):
             for t in range(6):
                 assert np.array_equal(f_tem.data[n, t], f_spa.data[t, n])
@@ -95,15 +110,17 @@ class TestEmbedding:
     def test_channel_mismatch(self):
         model = HSTTN(tiny_config(), seed=0)
         with pytest.raises(ShapeError):
-            model.embed_inputs(Tensor(np.zeros((2, 6, 5))))
+            model._embed(Tensor(np.zeros((2, 6, 5))), np.arange(6))
 
 
 class TestMsa:
+    """Self-attention, `attention(x, x, ...)`, over the rows of x."""
+
     def test_single_token_weight_is_one(self):
         rng = np.random.default_rng(4)
         w = random_weights(rng, 4, 2)
         x = Tensor(rng.normal(size=(1, 4)))
-        out = msa(x, w, n_heads=2)
+        out = attention(x, x, w, n_heads=2)
         expected = (x.data @ w.wv.data) @ w.wo.data
         assert np.allclose(out.data, expected)
 
@@ -112,7 +129,7 @@ class TestMsa:
         w = random_weights(rng, 4, 2)
         w.wq.data = np.zeros((4, 4))
         x = rng.normal(size=(5, 4))
-        out = msa(Tensor(x), w, n_heads=2)
+        out = attention(Tensor(x), Tensor(x), w, n_heads=2)
         expected = np.tile(((x @ w.wv.data).mean(axis=0)) @ w.wo.data, (5, 1))
         assert np.allclose(out.data, expected)
 
@@ -121,7 +138,7 @@ class TestMsa:
         x = np.array([[1.0], [2.0]])
         w = weights_from([np.array([[a]]), np.array([[b]]), np.array([[c]]),
                           np.array([[d]])])
-        out = msa(Tensor(x), w, n_heads=1)
+        out = attention(Tensor(x), Tensor(x), w, n_heads=1)
         # straight-line oracle
         q, k, v = x * a, x * b, x * c
         scores = q @ k.T
@@ -132,74 +149,69 @@ class TestMsa:
 
     def test_output_shape(self):
         rng = np.random.default_rng(6)
-        out = msa(Tensor(rng.normal(size=(3, 7, 8))), random_weights(rng, 8, 2), 2)
+        x = Tensor(rng.normal(size=(3, 7, 8)))
+        out = attention(x, x, random_weights(rng, 8, 2), 2)
         assert out.shape == (3, 7, 8)
 
 
 class TestCrossAttention:
+    """Queries from the rows of one sequence, keys and values from another."""
+
     def test_single_encoder_token_gets_full_weight(self):
         rng = np.random.default_rng(7)
         w = random_weights(rng, 4, 1)
         dec = Tensor(rng.normal(size=(3, 4)))
         enc = Tensor(rng.normal(size=(1, 4)))
-        out = cross_attention(dec, enc, w, n_heads=1)
+        out = attention(dec, enc, w, n_heads=1)
         expected = np.tile((enc.data @ w.wv.data) @ w.wo.data, (3, 1))
         assert np.allclose(out.data, expected)
-
-    def test_self_input_equals_msa(self):
-        rng = np.random.default_rng(8)
-        w = random_weights(rng, 4, 2)
-        x = Tensor(rng.normal(size=(5, 4)))
-        assert np.array_equal(cross_attention(x, x, w, 2).data, msa(x, w, 2).data)
 
     def test_hand_two_by_one(self):
         wq, wk, wv, wo = 1.5, -0.5, 2.0, 3.0
         w = weights_from([np.array([[v]]) for v in (wq, wk, wv, wo)])
         dec = np.array([[1.0], [-2.0]])
         enc = np.array([[4.0]])
-        out = cross_attention(Tensor(dec), Tensor(enc), w, n_heads=1)
+        out = attention(Tensor(dec), Tensor(enc), w, n_heads=1)
         # one key: softmax weight 1, value path only
         expected = np.full((2, 1), 4.0 * wv * wo)
         assert np.allclose(out.data, expected)
 
 
 class TestContextualFusion:
+    """`_fuse_maps` joins two turbine-major (N, L, d) branch maps."""
+
     def test_zero_inputs_zero_bias(self):
         w = Tensor(np.random.default_rng(9).normal(size=(8, 4)))
         b = Tensor(np.zeros(4))
-        tem = Tensor(np.zeros((2, 3, 4)))
-        spa = Tensor(np.zeros((3, 2, 4)))
-        fused_tem, fused_spa = contextual_fusion(tem, spa, w, b)
-        assert np.array_equal(fused_tem.data, np.zeros((2, 3, 4)))
-        assert np.array_equal(fused_spa.data, np.zeros((3, 2, 4)))
+        fused = _fuse_maps(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((2, 3, 4))), w, b)
+        assert np.array_equal(fused.data, np.zeros((2, 3, 4)))
+        assert np.array_equal(permute(fused, (1, 0, 2)).data, np.zeros((3, 2, 4)))
 
     def test_block_selection_weights(self):
         rng = np.random.default_rng(10)
         d = 4
         tem = np.abs(rng.normal(size=(2, 3, d)))
-        spa = np.abs(rng.normal(size=(3, 2, d)))
+        spa = np.abs(rng.normal(size=(2, 3, d)))
         select_spatial = np.vstack([np.eye(d), np.zeros((d, d))])
         select_temporal = np.vstack([np.zeros((d, d)), np.eye(d)])
-        got_spa, _ = contextual_fusion(Tensor(tem), Tensor(spa),
-                                       Tensor(select_spatial), Tensor(np.zeros(d)))
-        got_tem, _ = contextual_fusion(Tensor(tem), Tensor(spa),
-                                       Tensor(select_temporal), Tensor(np.zeros(d)))
-        assert np.allclose(got_spa.data, spa.transpose(1, 0, 2))
+        got_spa = _fuse_maps(Tensor(spa), Tensor(tem), Tensor(select_spatial),
+                             Tensor(np.zeros(d)))
+        got_tem = _fuse_maps(Tensor(spa), Tensor(tem), Tensor(select_temporal),
+                             Tensor(np.zeros(d)))
+        assert np.allclose(got_spa.data, spa)
         assert np.allclose(got_tem.data, tem)
 
     def test_channel_widths(self):
         d = 16
-        tem = Tensor(np.ones((2, 4, d)))
-        spa = Tensor(np.ones((4, 2, d)))
-        fused_tem, fused_spa = contextual_fusion(tem, spa, Tensor(np.ones((2 * d, d))),
-                                                 Tensor(np.zeros(d)))
-        assert fused_tem.shape == (2, 4, d)
-        assert fused_spa.shape == (4, 2, d)
+        fused = _fuse_maps(Tensor(np.ones((2, 4, d))), Tensor(np.ones((2, 4, d))),
+                           Tensor(np.ones((2 * d, d))), Tensor(np.zeros(d)))
+        assert fused.shape == (2, 4, d)
+        assert permute(fused, (1, 0, 2)).shape == (4, 2, d)
 
     def test_branch_disagreement(self):
         with pytest.raises(ShapeError):
-            contextual_fusion(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 4))),
-                              Tensor(np.ones((8, 4))), Tensor(np.zeros(4)))
+            _fuse_maps(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 2, 4))),
+                       Tensor(np.ones((8, 4))), Tensor(np.zeros(4)))
 
 
 def build_encoder_layer(cfg, rng=None):
@@ -256,9 +268,10 @@ class TestResidualLayers:
         layer, store = build_encoder_layer(cfg, rng)
         m = Tensor(rng.normal(size=(2, 6, 4)))
         out = layer({"tem": m, "spa": m})
-        w = AttentionWeights.from_store(store, "enc.s0.l0.tem")
-        expected = msa(m, w, cfg.n_heads).data + m.data
-        assert np.array_equal(out["tem"].data, expected)
+        for branch, axis in (("tem", 1), ("spa", 0)):
+            w = AttentionWeights.from_store(store, f"enc.s0.l0.{branch}")
+            expected = attend_along(m, w, cfg.n_heads, axis).data + m.data
+            assert np.array_equal(out[branch].data, expected)
 
     def test_layer_matches_straightline_composition(self):
         cfg = tiny_config()
@@ -269,12 +282,10 @@ class TestResidualLayers:
 
         tem_w = AttentionWeights.from_store(store, "enc.s0.l0.tem")
         spa_w = AttentionWeights.from_store(store, "enc.s0.l0.spa")
-        from hsttn.autodiff import permute
-        a_tem = msa(m, tem_w, cfg.n_heads)
-        a_spa = msa(permute(m, (1, 0, 2)), spa_w, cfg.n_heads)
-        fused_tem, _ = contextual_fusion(a_tem, a_spa, store["enc.s0.l0.cfb.w"],
-                                         store["enc.s0.l0.cfb.b"])
-        assert np.array_equal(out.data, fused_tem.data + m.data)
+        a_tem = attend_along(m, tem_w, cfg.n_heads, axis=1)
+        a_spa = attend_along(m, spa_w, cfg.n_heads, axis=0)
+        fused = _fuse_maps(a_spa, a_tem, store["enc.s0.l0.cfb.w"], store["enc.s0.l0.cfb.b"])
+        assert np.array_equal(out.data, fused.data + m.data)
 
     def test_decoder_zero_parameters_identity(self):
         cfg = tiny_config()
@@ -313,6 +324,13 @@ class TestResidualLayers:
         enc = Tensor(np.ones((2, 3, 4)))
         with pytest.raises(ContractError):
             layer({"st": m}, {"st": enc}, expected_enc_len=6)
+
+    def test_unfused_decoder_scale_mismatch_rejected(self):
+        layer, _ = build_decoder_layer(tiny_config(use_cfb=False), np.random.default_rng(16))
+        m = Tensor(np.ones((2, 6, 4)))
+        with pytest.raises(ContractError, match="'spa'"):
+            layer({"tem": m, "spa": m}, {"tem": m, "spa": Tensor(np.ones((2, 3, 4)))},
+                  expected_enc_len=6)
 
 
 class TestDecoderInput:
