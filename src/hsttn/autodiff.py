@@ -293,12 +293,6 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     return _record(out, (a,), lambda g: (np.transpose(g, inv),))
 
 
-def transpose_last2(a: Tensor) -> Tensor:
-    axes = list(range(a.ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return permute(a, axes)
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape)) != a.data.size:

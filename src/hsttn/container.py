@@ -1,8 +1,8 @@
 """Versioned binary container: a JSON header followed by named arrays.
 
-Model checkpoints are stored in it. Writing is fully deterministic (sorted
-JSON keys, insertion-ordered tensors, little-endian payloads), so
-identical state produces byte-identical files.
+Model checkpoints are stored in it. Arrays are float64. Writing is fully
+deterministic (sorted JSON keys, insertion-ordered tensors, little-endian
+payloads), so identical state produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from .errors import IngestError
 MAGIC = b"HSTN"
 VERSION = 1
 
-_DTYPE_CODES = {"<f8": 0, "|b1": 1, "<i8": 2}
-_CODE_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("|b1"), 2: np.dtype("<i8")}
+# Every array is stored as little-endian float64; its dtype code byte is 0.
+_FLOAT64 = np.dtype("<f8")
+_FLOAT64_CODE = 0
 
 
 def write_container(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
@@ -32,17 +33,11 @@ def write_container(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
         fh.write(header_bytes)
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
-            if arr.dtype == np.bool_:
-                canonical = np.ascontiguousarray(arr)
-            elif np.issubdtype(arr.dtype, np.integer):
-                canonical = np.ascontiguousarray(arr, dtype="<i8")
-            else:
-                canonical = np.ascontiguousarray(arr, dtype="<f8")
-            code = _DTYPE_CODES[canonical.dtype.str if canonical.dtype != np.bool_ else "|b1"]
+            canonical = np.ascontiguousarray(arr, dtype=_FLOAT64)
             name_bytes = name.encode("utf-8")
             fh.write(struct.pack("<H", len(name_bytes)))
             fh.write(name_bytes)
-            fh.write(struct.pack("<B", code))
+            fh.write(struct.pack("<B", _FLOAT64_CODE))
             fh.write(struct.pack("<B", canonical.ndim))
             for dim in canonical.shape:
                 fh.write(struct.pack("<Q", dim))
@@ -91,10 +86,9 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         if ndim > 32:  # numpy's dimension limit before 2.0
             raise IngestError(f"{path}: array {name!r} has {ndim} dimensions")
         shape = tuple(struct.unpack("<Q", take(8))[0] for _ in range(ndim))
-        dtype = _CODE_DTYPES.get(code)
-        if dtype is None:
+        if code != _FLOAT64_CODE:
             raise IngestError(f"{path}: unknown dtype code {code} for array {name!r}")
         count = math.prod(shape)
-        data = np.frombuffer(take(count * dtype.itemsize), dtype=dtype).reshape(shape)
+        data = np.frombuffer(take(count * _FLOAT64.itemsize), dtype=_FLOAT64).reshape(shape)
         arrays[name] = data.copy()
     return header, arrays

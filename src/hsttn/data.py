@@ -10,7 +10,7 @@ Invalid cells never influence statistics, losses, or metrics.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -76,13 +76,17 @@ class Schema:
 
     @classmethod
     def load(cls, path) -> "Schema":
-        """Read a schema file; absent keys take the dataclass defaults, except
-        the column roles, which an absent or `none` entry leaves unset."""
+        """Read a schema file whose keys are the dataclass fields; unknown keys
+        are refused. Absent keys take the dataclass defaults, except the column
+        roles, which an absent or `none` entry leaves unset."""
         kv = read_kv(path)
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(kv) - set(known))
+        if unknown:
+            raise ConfigError(f"{path}: unknown schema key(s) {unknown}; known keys are {known}")
         if "channels" not in kv:
             raise ConfigError(f"{path}: schema file must declare 'channels'")
-        args = {key: kv[key] for key in ("target", "id_column", "day_column", "time_column")
-                if key in kv}
+        args = dict(kv, channels=tuple(c.strip() for c in kv["channels"].split(",") if c.strip()))
         if "step_minutes" in kv:
             try:
                 args["step_minutes"] = int(kv["step_minutes"])
@@ -92,8 +96,7 @@ class Schema:
         for role in _ROLES:
             value = kv.get(role, "")
             args[role] = value if value and value.lower() != "none" else None
-        return cls(channels=tuple(c.strip() for c in kv["channels"].split(",") if c.strip()),
-                   **args)
+        return cls(**args)
 
     def save(self, path) -> None:
         write_kv(path, self.to_dict(), header="farm record schema")
@@ -174,7 +177,8 @@ def load_records(path, schema: Schema) -> RecordSet:
 
     The header must contain exactly the schema's id/day/time columns plus
     its channels. Missing (turbine, timestamp) rows and missing fields
-    become invalid cells; duplicates and unparseable numbers are errors.
+    become invalid cells; duplicates and unparseable numbers are errors, and
+    so is a grid of more than twice as many cells as there are data rows.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -233,9 +237,17 @@ def load_records(path, schema: Schema) -> RecordSet:
     turb_index = {tid: i for i, tid in enumerate(turbine_ids)}
     spd = schema.slots_per_day
     abs_slots = [r[1] * spd + r[2] for r in rows]
-    t0, t1 = min(abs_slots), max(abs_slots)
+    first = min(range(len(rows)), key=abs_slots.__getitem__)
+    last = max(range(len(rows)), key=abs_slots.__getitem__)
+    t0, t1 = abs_slots[first], abs_slots[last]
     n_t = t1 - t0 + 1
     n = len(turbine_ids)
+    if n * n_t > 2 * len(rows):
+        raise IngestError(
+            f"{path}: the earliest timestamp (line {rows[first][5]}) and the latest "
+            f"(line {rows[last][5]}) span {n_t} slots; {n} turbine(s) x {n_t} slots "
+            f"is more than twice the {len(rows)} data rows"
+        )
     c = len(schema.channels)
 
     values = np.full((n, n_t, c), np.nan)

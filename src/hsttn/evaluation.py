@@ -9,7 +9,7 @@ samples is excluded from the sums and reported, never silently averaged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -88,8 +88,8 @@ class _Accumulator:
         )
 
 
-def _flatten(y: np.ndarray, y_hat: np.ndarray, mask: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _masked_report(y: np.ndarray, y_hat: np.ndarray, mask: np.ndarray) -> MetricReport:
+    """Farm metrics of one (N, ...) set of targets and predictions."""
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -101,23 +101,19 @@ def _flatten(y: np.ndarray, y_hat: np.ndarray, mask: np.ndarray
     mask = mask.reshape(n, -1)
     if mask.shape != y.shape:
         raise EvaluationError(f"mask shape {mask.shape} does not match samples {y.shape}")
-    return y, y_hat, mask
+    acc = _Accumulator(n)
+    acc.add(y, y_hat, mask)
+    return acc.report("native", 0)
 
 
 def masked_mae(y: np.ndarray, y_hat: np.ndarray, mask: np.ndarray) -> float:
     """Sum over turbines of per-turbine mean absolute error on valid cells."""
-    y, y_hat, mask = _flatten(y, y_hat, mask)
-    acc = _Accumulator(y.shape[0])
-    acc.add(y, y_hat, mask)
-    return acc.report("native", 0).mae
+    return _masked_report(y, y_hat, mask).mae
 
 
 def masked_rmse(y: np.ndarray, y_hat: np.ndarray, mask: np.ndarray) -> float:
     """Sum over turbines of per-turbine root mean squared error on valid cells."""
-    y, y_hat, mask = _flatten(y, y_hat, mask)
-    acc = _Accumulator(y.shape[0])
-    acc.add(y, y_hat, mask)
-    return acc.report("native", 0).rmse
+    return _masked_report(y, y_hat, mask).rmse
 
 
 def predict_window(model: HSTTN, window: SampleWindow, stats: NormStats,
@@ -130,20 +126,26 @@ def predict_window(model: HSTTN, window: SampleWindow, stats: NormStats,
     return y_hat
 
 
-def evaluate_model(model: HSTTN, windows: Sequence[SampleWindow], stats: NormStats,
-                   target_channel: int, megawatts: bool = False) -> MetricReport:
-    """Run inference over every window, invert normalization on both
-    predictions and targets, and accumulate the farm metrics in native
-    power units (or MW when `megawatts` is set)."""
+def _evaluate(windows: Sequence[SampleWindow], forecast: Callable[[SampleWindow], np.ndarray],
+              stats: NormStats, target_channel: int, megawatts: bool) -> MetricReport:
+    """Accumulate the farm metrics of `forecast` over every window against
+    the denormalized targets, in native power units or MW."""
     if not windows:
         raise EvaluationError("evaluation over an empty window set")
     divisor = 1000.0 if megawatts else 1.0
-    acc = _Accumulator(model.config.n_turbines)
+    acc = _Accumulator(windows[0].history.shape[0])
     for w in windows:
-        pred = predict_window(model, w, stats, target_channel) / divisor
+        pred = forecast(w) / divisor
         truth = stats.invert(w.future_target[:, :, 0], target_channel) / divisor
         acc.add(truth, pred, w.future_validity)
     return acc.report("MW" if megawatts else "kW", len(windows))
+
+
+def evaluate_model(model: HSTTN, windows: Sequence[SampleWindow], stats: NormStats,
+                   target_channel: int, megawatts: bool = False) -> MetricReport:
+    """Run inference over every window and accumulate the farm metrics."""
+    return _evaluate(windows, lambda w: predict_window(model, w, stats, target_channel),
+                     stats, target_channel, megawatts)
 
 
 def persistence_forecast(window: SampleWindow, stats: NormStats,
@@ -157,13 +159,6 @@ def persistence_forecast(window: SampleWindow, stats: NormStats,
 
 def evaluate_persistence(windows: Sequence[SampleWindow], stats: NormStats,
                          target_channel: int, megawatts: bool = False) -> MetricReport:
-    if not windows:
-        raise EvaluationError("evaluation over an empty window set")
-    divisor = 1000.0 if megawatts else 1.0
-    n_turbines = windows[0].history.shape[0]
-    acc = _Accumulator(n_turbines)
-    for w in windows:
-        pred = persistence_forecast(w, stats, target_channel) / divisor
-        truth = stats.invert(w.future_target[:, :, 0], target_channel) / divisor
-        acc.add(truth, pred, w.future_validity)
-    return acc.report("MW" if megawatts else "kW", len(windows))
+    """The farm metrics of the persistence baseline over every window."""
+    return _evaluate(windows, lambda w: persistence_forecast(w, stats, target_channel),
+                     stats, target_channel, megawatts)

@@ -3,9 +3,9 @@
 The encoder embeds the raw channel grid, runs stacks of residual layers
 that attend along time (per turbine) and across turbines (per timestep),
 and max-pools the temporal axis between stacks to form a pyramid of
-coarser scales. The decoder starts from a zero-feature future grid that
-carries only time positions and turbine identity, runs mirrored layers
-with cross-attention into the same-scale encoder outputs, and restores
+coarser scales. The decoder starts from the embedding of a zero-feature
+future grid, which carries only time positions and turbine identity, runs
+mirrored layers with cross-attention into the same-scale encoder outputs, and restores
 finer scales with stride-expanding up-convolutions, optionally merging
 same-scale encoder outputs through skip concatenation. The original-scale
 encoder and decoder outputs are concatenated channel-wise and regressed
@@ -31,10 +31,10 @@ from .autodiff import (
     mix,
     permute,
     pointwise_conv,
+    relu,
     reshape,
     scale,
     softmax_rows,
-    transpose_last2,
     upconv1d,
 )
 from .errors import ConfigError, ContractError, ShapeError
@@ -267,19 +267,17 @@ class ModelParameters:
 
 @dataclass
 class ScaleTrace:
-    """Observable record of one forward pass: per-scale sequence lengths,
-    retained encoder outputs, and (optionally) raw attention weights."""
+    """Observable record of one forward pass: per-scale sequence lengths
+    and (optionally) raw attention weights."""
 
     collect_probs: bool = False
     encoder_lengths: list[int] = field(default_factory=list)
     decoder_lengths: list[int] = field(default_factory=list)
-    encoder_states: list[dict[str, Tensor]] = field(default_factory=list)
     attention_probs: list[np.ndarray] = field(default_factory=list)
 
     def reset(self) -> None:
         self.encoder_lengths.clear()
         self.decoder_lengths.clear()
-        self.encoder_states.clear()
         self.attention_probs.clear()
 
 
@@ -303,42 +301,39 @@ def attention(
     n_heads: int,
     trace: ScaleTrace | None = None,
 ) -> Tensor:
-    """Scaled dot-product attention with `n_heads` heads.
+    """Scaled dot-product attention with `n_heads` heads along axis -2.
 
-    `query_seqs` is (B, Lq, d) or a single (Lq, d) sequence; keys/values
-    come from `kv_seqs` with matching batching. Softmax rows and the
-    weighted value mix both accumulate order-independently, so outputs do
-    not depend on how positions along the attended axis are enumerated.
+    Inputs are (..., L, d): every index of the leading axes is one
+    independent sequence, and queries from `query_seqs` attend to the
+    keys/values of `kv_seqs` at the same leading index. Softmax rows and
+    the weighted value mix both accumulate order-independently, so outputs
+    do not depend on how positions along the attended axis are enumerated.
     """
-    squeeze = query_seqs.ndim == 2
-    if squeeze:
-        query_seqs = reshape(query_seqs, (1,) + query_seqs.shape)
-        kv_seqs = reshape(kv_seqs, (1,) + kv_seqs.shape)
-    if query_seqs.ndim != 3 or kv_seqs.ndim != 3:
+    lead = query_seqs.shape[:-2]
+    if query_seqs.ndim < 2 or kv_seqs.ndim != query_seqs.ndim or kv_seqs.shape[:-2] != lead:
         raise ShapeError(
-            f"attention expects (B, L, d) inputs, got {query_seqs.shape} and {kv_seqs.shape}"
+            f"attention needs (..., L, d) inputs with the same leading axes, "
+            f"got {query_seqs.shape} and {kv_seqs.shape}"
         )
-    batch, lq = query_seqs.shape[:2]
+    n = len(lead)
+    lq = query_seqs.shape[-2]
     dk = weights.wq.shape[1] // n_heads
     dv = weights.wv.shape[1] // n_heads
+    # (..., L, heads, width) <-> (..., heads, L, width); its own inverse
+    heads_first = (*range(n), n + 1, n, n + 2)
 
     def split_heads(t: Tensor, width: int) -> Tensor:
-        t = reshape(t, (batch, t.shape[1], n_heads, width))
-        return permute(t, (0, 2, 1, 3))
+        return permute(reshape(t, t.shape[:-1] + (n_heads, width)), heads_first)
 
     q = split_heads(matmul(query_seqs, weights.wq), dk)
     k = split_heads(matmul(kv_seqs, weights.wk), dk)
     v = split_heads(matmul(kv_seqs, weights.wv), dv)
-    scores = scale(matmul(q, transpose_last2(k)), 1.0 / math.sqrt(dk))
+    scores = scale(matmul(q, permute(k, (*range(n + 1), n + 2, n + 1))), 1.0 / math.sqrt(dk))
     probs = softmax_rows(scores)
     if trace is not None and trace.collect_probs:
         trace.attention_probs.append(probs.data.copy())
-    ctx = mix(probs, v)
-    ctx = reshape(permute(ctx, (0, 2, 1, 3)), (batch, lq, n_heads * dv))
-    out = matmul(ctx, weights.wo)
-    if squeeze:
-        out = reshape(out, (lq, out.shape[2]))
-    return out
+    ctx = reshape(permute(mix(probs, v), heads_first), lead + (lq, n_heads * dv))
+    return matmul(ctx, weights.wo)
 
 
 def _fuse_maps(spa_map: Tensor, tem_map: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -413,15 +408,15 @@ class DecoderLayer:
         self.fuse = _fusion_weights(store, prefix, cfg)
 
     def __call__(self, state: dict[str, Tensor], enc_state: dict[str, Tensor],
-                 expected_enc_len: int, trace: ScaleTrace | None = None) -> dict[str, Tensor]:
+                 trace: ScaleTrace | None = None) -> dict[str, Tensor]:
         n_heads = self.cfg.n_heads
         out = {}
         for key, m in state.items():
             enc = enc_state[key]
-            if not m.shape[-2] == enc.shape[-2] == expected_enc_len:
+            if m.shape != enc.shape:
                 raise ContractError(
-                    f"branch {key!r}: decoder length {m.shape[-2]} and encoder length "
-                    f"{enc.shape[-2]} must both equal the scale length {expected_enc_len}"
+                    f"branch {key!r}: decoder map {m.shape} and encoder map {enc.shape} "
+                    "differ in shape"
                 )
             maps = []
             for branch in _BRANCHES[key]:
@@ -432,17 +427,6 @@ class DecoderLayer:
                 maps.append(_view(branch, add(c, s)))
             out[key] = _residual(m, maps, self.fuse)
         return out
-
-
-def build_decoder_input(future_positions: np.ndarray, n_turbines: int, n_channels: int
-                        ) -> Tensor:
-    """Decoder entry features: all channels zero. Time positions and
-    turbine identity are attached later by the shared embedding, so the
-    decoder sees only when and which turbine it is predicting for."""
-    future_positions = np.asarray(future_positions)
-    if future_positions.ndim != 1 or future_positions.size < 1:
-        raise ContractError("future_positions must be a non-empty 1-D index array")
-    return Tensor(np.zeros((n_turbines, future_positions.size, n_channels)))
 
 
 class HSTTN:
@@ -465,17 +449,20 @@ class HSTTN:
             for s in range(cfg.n_scales)
         ]
 
-    def _embed(self, x: Tensor, positions: np.ndarray) -> Tensor:
+    def _embed(self, features: Tensor, positions: np.ndarray) -> Tensor:
+        """Attach time positions and turbine identity to embedded features:
+        (N, L, d) from the history, or one (d,) vector for every future step."""
         cfg = self.config
-        if x.ndim != 3 or x.shape[0] != cfg.n_turbines or x.shape[2] != cfg.n_channels:
-            raise ShapeError(
-                f"expected input shape ({cfg.n_turbines}, L, {cfg.n_channels}), got {x.shape}"
-            )
-        f = pointwise_conv(x, self.params["embed.w"], self.params["embed.b"], activation=True)
-        pos = Tensor(self.params["pos_table"].data[positions])
-        f = add(f, pos)
+        f = add(features, Tensor(self.params["pos_table"].data[positions]))
         turb = reshape(self.params["turbine_table"], (cfg.n_turbines, 1, cfg.d_model))
         return add(f, turb)
+
+    def _decoder_entry(self) -> Tensor:
+        """The embedding of an all-zero future grid. The 1x1 conv of zeros is
+        its bias, so the entry depends on the parameters alone."""
+        cfg = self.config
+        future = np.arange(cfg.history_len, cfg.history_len + cfg.horizon_len)
+        return self._embed(relu(self.params["embed.b"]), future)
 
     def forward(self, x: Tensor, training: bool = False, rng: RngStream | None = None,
                 trace: ScaleTrace | None = None) -> Tensor:
@@ -490,33 +477,33 @@ class HSTTN:
         else:
             trace.reset()
 
-        state = dict.fromkeys(cfg.branch_names, self._embed(x, np.arange(cfg.history_len)))
+        history = pointwise_conv(x, self.params["embed.w"], self.params["embed.b"])
+        state = dict.fromkeys(cfg.branch_names, self._embed(history, np.arange(cfg.history_len)))
         n_transitions = len(cfg.pool_factors)
+        skips = []  # the encoder output at every scale
         for s in range(cfg.n_scales):
             for layer in self.enc_layers[s]:
                 state = layer(state, trace)
             trace.encoder_lengths.append(next(iter(state.values())).shape[-2])
-            trace.encoder_states.append(state)
+            skips.append(state)
             if s < n_transitions:
                 state = {k: maxpool1d(m, cfg.pool_factors[s]) for k, m in state.items()}
 
-        future_positions = np.arange(cfg.history_len, cfg.history_len + cfg.horizon_len)
-        dec_in = build_decoder_input(future_positions, cfg.n_turbines, cfg.n_channels)
-        dstate = dict.fromkeys(cfg.branch_names, self._embed(dec_in, future_positions))
-        total = int(np.prod(cfg.pool_factors)) if cfg.pool_factors else 1
-        if total > 1:
-            dstate = {k: maxpool1d(m, total) for k, m in dstate.items()}
+        # pooled once per state map: one shared pooled tensor would sum the
+        # two unfused maps' gradients in another order, changing last bits
+        entry = self._decoder_entry()
+        dstate = {k: maxpool1d(entry, math.prod(cfg.pool_factors)) for k in cfg.branch_names}
 
         for s in range(cfg.n_scales - 1, -1, -1):
             trace.decoder_lengths.append(next(iter(dstate.values())).shape[-2])
             for layer in self.dec_layers[s]:
-                dstate = layer(dstate, trace.encoder_states[s], trace.encoder_lengths[s], trace)
+                dstate = layer(dstate, skips[s], trace)
             if s > 0:
                 t = s - 1
                 merged = {}
                 for key, m in dstate.items():
                     if cfg.use_skip:
-                        m = concat([m, trace.encoder_states[s][key]], axis=2)
+                        m = concat([m, skips[s][key]], axis=2)
                     merged[key] = upconv1d(
                         m, self.params[f"up.t{t}.{key}.w"], self.params[f"up.t{t}.{key}.b"])
                 dstate = merged
@@ -524,7 +511,7 @@ class HSTTN:
         # one state map: original-scale encoder and decoder outputs side by
         # side; two unfused maps: the temporal and spatial decoder outputs
         parts = (list(dstate.values()) if len(dstate) == 2
-                 else [*trace.encoder_states[0].values(), *dstate.values()])
+                 else [*skips[0].values(), *dstate.values()])
         head_in = concat(parts, axis=2)
         return self.regress(head_in, training=training, rng=rng)
 

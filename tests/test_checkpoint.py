@@ -39,8 +39,7 @@ class TestContainer:
         header = {"kind": "test", "note": "x"}
         arrays = {
             "f": np.arange(12.0).reshape(3, 4),
-            "b": np.array([True, False, True]),
-            "i": np.arange(5),
+            "g": np.linspace(-1.0, 1.0, 5),
         }
         path = tmp_path / "c.bin"
         write_container(path, header, arrays)
@@ -77,6 +76,19 @@ class TestContainer:
         path = tmp_path / "c.bin"
         write_container(path, [1, 2], {"x": np.ones(2)})
         with pytest.raises(IngestError, match="not a JSON object"):
+            read_container(path)
+
+    @pytest.mark.parametrize("code", [1, 2, 255])
+    def test_only_float64_code_is_read(self, tmp_path, code):
+        path = tmp_path / "c.bin"
+        write_container(path, {"k": 1}, {"x": np.ones(2)})
+        blob = bytearray(path.read_bytes())
+        header_len = len(b'{"k":1}')
+        code_at = 4 + 4 + 8 + header_len + 4 + 2 + len(b"x")
+        assert blob[code_at] == 0
+        blob[code_at] = code
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IngestError, match=f"unknown dtype code {code}"):
             read_container(path)
 
     def test_byte_determinism(self, tmp_path):

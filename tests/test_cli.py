@@ -130,6 +130,26 @@ class TestTrain:
             (workspace / "synthetic.schema").read_text())
         assert main(["train", "--config", str(cfg)]) == 3
 
+    def test_schema_typo_is_usage_error(self, workspace, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text((workspace / "run.cfg").read_text())
+        (tmp_path / "synthetic.csv").write_text((workspace / "synthetic.csv").read_text())
+        (tmp_path / "synthetic.schema").write_text(
+            (workspace / "synthetic.schema").read_text() + "traget = Wspd\n")
+        assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 2
+        assert "traget" in capsys.readouterr().err
+
+    def test_sparse_day_span_is_io_error(self, workspace, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text((workspace / "run.cfg").read_text())
+        (tmp_path / "synthetic.schema").write_text(
+            (workspace / "synthetic.schema").read_text())
+        with (workspace / "synthetic.csv").open() as fh:
+            header = fh.readline()
+            row = fh.readline().split(",")
+        far = [row[0], "5000", *row[2:]]
+        (tmp_path / "synthetic.csv").write_text(header + ",".join(row) + ",".join(far))
+        assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 3
+        assert "(line 2) and the latest (line 3)" in capsys.readouterr().err
+
 
 class TestPredict:
     def test_row_count_and_cross_path_consistency(self, workspace, tmp_path):

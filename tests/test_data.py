@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -110,6 +112,31 @@ class TestLoadRecords:
         write_rows(path, HEADER, [[1, 1, "00:00", 5.0, 10.0, 100.0],
                                   [1, 1, stamp, 5.0, 10.0, 100.0]])
         with pytest.raises(IngestError, match=r"farm\.csv:3: time of day .* out of range"):
+            load_records(path, small_schema())
+
+    def test_sparse_span_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "farm.csv"
+        write_rows(path, HEADER, [[1, 5000, "00:00", 5.0, 10.0, 100.0],
+                                  [1, 1, "00:00", 5.0, 10.0, 100.0]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(IngestError, match=r"\(line 3\) and the latest \(line 2\) span 719857 slots"):
+                load_records(path, small_schema())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000  # the (1, 719857, 3) grid alone is 17 MB
+
+    def test_span_of_twice_the_rows_is_loaded(self, tmp_path):
+        path = tmp_path / "farm.csv"
+        write_rows(path, HEADER, [[1, 1, "00:00", 5.0, 10.0, 100.0],
+                                  [1, 1, "00:30", 5.0, 10.0, 100.0]])
+        rs = load_records(path, small_schema())
+        assert rs.values.shape == (1, 4, 3)
+        assert rs.validity.sum() == 2
+        write_rows(path, HEADER, [[1, 1, "00:00", 5.0, 10.0, 100.0],
+                                  [1, 1, "00:40", 5.0, 10.0, 100.0]])
+        with pytest.raises(IngestError, match="span 5 slots"):
             load_records(path, small_schema())
 
     def test_duplicate_record_rejected(self, tmp_path):
@@ -355,6 +382,12 @@ class TestSchemaFile:
         path.write_text("channels = Wspd,Patv\n")
         assert Schema.load(path) == Schema(channels=("Wspd", "Patv"), wind_speed=None,
                                            wind_direction=None, nacelle_direction=None)
+
+    def test_unknown_key_refused(self, tmp_path):
+        path = tmp_path / "typo.schema"
+        path.write_text("channels = Wspd,Patv\ntraget = Wspd\n")
+        with pytest.raises(ConfigError, match="traget"):
+            Schema.load(path)
 
     def test_target_must_be_channel(self):
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsttn.autodiff import RngStream, Tensor, permute
+from hsttn.autodiff import RngStream, Tensor, permute, pointwise_conv
 from hsttn.errors import ConfigError, ContractError, ShapeError
 from hsttn.model import (
     HSTTN,
@@ -13,7 +13,6 @@ from hsttn.model import (
     ScaleTrace,
     _fuse_maps,
     attention,
-    build_decoder_input,
     make_variant,
     variant_config,
 )
@@ -75,6 +74,12 @@ class TestConfig:
         assert tiny_config(pool_factors=()).scale_lengths == (6,)
 
 
+def embed_history(model: HSTTN, x: np.ndarray) -> Tensor:
+    """The history path of `HSTTN.forward`: 1x1 conv, then time and turbine."""
+    conv = pointwise_conv(Tensor(x), model.params["embed.w"], model.params["embed.b"])
+    return model._embed(conv, np.arange(x.shape[1]))
+
+
 class TestEmbedding:
     def test_zero_everything_gives_zero_views(self):
         cfg = tiny_config()
@@ -83,7 +88,7 @@ class TestEmbedding:
         for name in arrays:
             arrays[name] = np.zeros_like(arrays[name])
         model.params.load_arrays(arrays)
-        f_tem = model._embed(Tensor(np.zeros((2, 6, 3))), np.arange(6))
+        f_tem = embed_history(model, np.zeros((2, 6, 3)))
         f_spa = permute(f_tem, (1, 0, 2))
         assert np.array_equal(f_tem.data, np.zeros((2, 6, 4)))
         assert np.array_equal(f_spa.data, np.zeros((6, 2, 4)))
@@ -92,8 +97,7 @@ class TestEmbedding:
         cfg = tiny_config(n_turbines=2, history_len=4, horizon_len=4,
                           n_channels=3, d_model=16, pool_factors=(2,))
         model = HSTTN(cfg, seed=1)
-        f_tem = model._embed(Tensor(np.random.default_rng(0).normal(size=(2, 4, 3))),
-                             np.arange(4))
+        f_tem = embed_history(model, np.random.default_rng(0).normal(size=(2, 4, 3)))
         f_spa = permute(f_tem, (1, 0, 2))
         assert f_tem.shape == (2, 4, 16)
         assert f_spa.shape == (4, 2, 16)
@@ -101,7 +105,7 @@ class TestEmbedding:
     def test_dual_view_consistency(self):
         model = HSTTN(tiny_config(), seed=2)
         x = np.random.default_rng(1).normal(size=(2, 6, 3))
-        f_tem = model._embed(Tensor(x), np.arange(6))
+        f_tem = embed_history(model, x)
         f_spa = permute(f_tem, (1, 0, 2))
         for n in range(2):
             for t in range(6):
@@ -110,7 +114,7 @@ class TestEmbedding:
     def test_channel_mismatch(self):
         model = HSTTN(tiny_config(), seed=0)
         with pytest.raises(ShapeError):
-            model._embed(Tensor(np.zeros((2, 6, 5))), np.arange(6))
+            model.forward(Tensor(np.zeros((2, 6, 5))))
 
 
 class TestMsa:
@@ -152,6 +156,28 @@ class TestMsa:
         x = Tensor(rng.normal(size=(3, 7, 8)))
         out = attention(x, x, random_weights(rng, 8, 2), 2)
         assert out.shape == (3, 7, 8)
+
+    def test_leading_axes_are_independent_sequences(self):
+        rng = np.random.default_rng(27)
+        w = random_weights(rng, 8, 2)
+        q = rng.normal(size=(2, 3, 5, 8))
+        kv = rng.normal(size=(2, 3, 4, 8))
+        out = attention(Tensor(q), Tensor(kv), w, 2).data
+        assert out.shape == (2, 3, 5, 8)
+        for i in range(2):
+            batch = attention(Tensor(q[i]), Tensor(kv[i]), w, 2).data
+            assert np.array_equal(batch, out[i])
+            for j in range(3):
+                single = attention(Tensor(q[i, j]), Tensor(kv[i, j]), w, 2).data
+                assert np.array_equal(single, out[i, j])
+
+    def test_leading_axes_must_match(self):
+        rng = np.random.default_rng(28)
+        w = random_weights(rng, 4, 2)
+        with pytest.raises(ShapeError):
+            attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 3, 4))), w, 2)
+        with pytest.raises(ShapeError):
+            attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4))), w, 2)
 
 
 class TestCrossAttention:
@@ -293,7 +319,7 @@ class TestResidualLayers:
         rng = np.random.default_rng(14)
         m = Tensor(rng.normal(size=(2, 6, 4)))
         enc = Tensor(rng.normal(size=(2, 6, 4)))
-        out = layer({"st": m}, {"st": enc}, expected_enc_len=6)["st"]
+        out = layer({"st": m}, {"st": enc})["st"]
         assert np.array_equal(out.data, m.data)
 
     def test_zero_encoder_reduces_decoder_to_encoder_layer(self):
@@ -302,7 +328,7 @@ class TestResidualLayers:
         dec_layer, dec_store = build_decoder_layer(cfg, rng)
         m = Tensor(rng.normal(size=(2, 6, 4)))
         zero_enc = Tensor(np.zeros((2, 6, 4)))
-        out = dec_layer({"st": m}, {"st": zero_enc}, expected_enc_len=6)["st"]
+        out = dec_layer({"st": m}, {"st": zero_enc})["st"]
 
         enc_cfg_layer, enc_store = build_encoder_layer(cfg, np.random.default_rng(99))
         # mirror the decoder's self-attention and fusion weights
@@ -323,37 +349,47 @@ class TestResidualLayers:
         m = Tensor(np.ones((2, 6, 4)))
         enc = Tensor(np.ones((2, 3, 4)))
         with pytest.raises(ContractError):
-            layer({"st": m}, {"st": enc}, expected_enc_len=6)
+            layer({"st": m}, {"st": enc})
 
     def test_unfused_decoder_scale_mismatch_rejected(self):
         layer, _ = build_decoder_layer(tiny_config(use_cfb=False), np.random.default_rng(16))
         m = Tensor(np.ones((2, 6, 4)))
         with pytest.raises(ContractError, match="'spa'"):
-            layer({"tem": m, "spa": m}, {"tem": m, "spa": Tensor(np.ones((2, 3, 4)))},
-                  expected_enc_len=6)
+            layer({"tem": m, "spa": m}, {"tem": m, "spa": Tensor(np.ones((2, 3, 4)))})
 
 
 class TestDecoderInput:
+    """The decoder entry: the embedding of an all-zero future grid."""
+
+    def signed_bias_model(self, cfg, seed):
+        model = HSTTN(cfg, seed=seed)
+        arrays = model.params.state_arrays()
+        arrays["embed.b"] = np.random.default_rng(seed).normal(size=cfg.d_model)
+        assert (arrays["embed.b"] < 0).any() and (arrays["embed.b"] > 0).any()
+        model.params.load_arrays(arrays)
+        return model
+
     def test_all_zero_features(self):
-        out = build_decoder_input(np.arange(6, 12), 2, 3)
-        assert out.shape == (2, 6, 3)
-        assert np.array_equal(out.data, np.zeros((2, 6, 3)))
+        cfg = tiny_config()
+        model = self.signed_bias_model(cfg, 3)
+        zeros = Tensor(np.zeros((2, 6, 3)))
+        expected = model._embed(
+            pointwise_conv(zeros, model.params["embed.w"], model.params["embed.b"]),
+            np.arange(6, 12))
+        assert np.array_equal(model._decoder_entry().data, expected.data)
 
     def test_embedding_of_zeros_is_tables_only(self):
         cfg = tiny_config()
-        model = HSTTN(cfg, seed=3)
-        arrays = model.params.state_arrays()
-        arrays["embed.b"] = np.zeros_like(arrays["embed.b"])
-        model.params.load_arrays(arrays)
+        model = self.signed_bias_model(cfg, 4)
         positions = np.arange(6, 12)
-        emb = model._embed(build_decoder_input(positions, 2, 3), positions)
-        expected = (model.params["pos_table"].data[positions][None, :, :]
-                    + arrays["turbine_table"][:, None, :])
-        assert np.allclose(emb.data, expected)
+        b = model.params["embed.b"].data
+        expected = (np.maximum(b, 0.0) + model.params["pos_table"].data[positions])[None] \
+            + model.params["turbine_table"].data[:, None, :]
+        assert np.array_equal(model._decoder_entry().data, expected)
 
     def test_long_horizon_shape(self):
-        out = build_decoder_input(np.arange(144, 288), 3, 13)
-        assert out.shape == (3, 144, 13)
+        cfg = ModelConfig(n_turbines=3, history_len=144, horizon_len=144, n_channels=13)
+        assert HSTTN(cfg, seed=0)._decoder_entry().shape == (3, 144, cfg.d_model)
 
 
 class TestHourglass:
@@ -418,7 +454,7 @@ class TestHourglass:
         model.forward(x, trace=trace)
         model.forward(x, trace=trace)
         assert trace.encoder_lengths == list(cfg.scale_lengths)
-        assert len(trace.encoder_states) == cfg.n_scales
+        assert trace.decoder_lengths == list(reversed(cfg.scale_lengths))
 
     def test_forward_determinism(self):
         cfg = tiny_config()
