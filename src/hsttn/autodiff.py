@@ -1,17 +1,17 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Only the operations the forecasting model needs are implemented: batched
-matrix products, row softmax, ReLU, channel-wise 1x1 convolution, temporal
-max-pooling, stride-expanding transposed convolution, concatenation,
-dropout, and a few elementwise helpers. Forward values live in numpy
-arrays; gradients are accumulated on `Tensor.grad` by replaying a
-`GradTape` in reverse.
+matrix products, row softmax, row gathers, ReLU, channel-wise 1x1
+convolution, temporal max-pooling, stride-expanding transposed
+convolution, concatenation, dropout, and a few elementwise helpers.
+Forward values live in numpy arrays; gradients are accumulated on
+`Tensor.grad` by replaying a `GradTape` in reverse.
 
-Reductions that sum over an axis whose ordering is arbitrary (softmax
-denominators, attention mixing over sequence positions) accumulate in
-sorted order, so outputs are bitwise invariant to permutations of that
-axis. This is what makes turbine-permutation equivariance hold exactly
-instead of merely within float tolerance.
+Sums run in the order their operands are stored. Turbine-permutation
+equivariance holds bitwise because the model puts every attended
+sequence into a canonical row order (`take_rows`) before it reduces over
+that sequence. `mix` and `softmax_rows`, which instead accumulate in
+sorted order, are kept only for the acceptance gate's gradient checks.
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ __all__ = [
     "scale",
     "matmul",
     "mix",
+    "take_rows",
     "permute",
     "reshape",
     "relu",
+    "softmax",
     "softmax_rows",
     "concat",
     "maxpool1d",
@@ -262,8 +264,10 @@ def mix(weights: Tensor, values: Tensor) -> Tensor:
 
     The contraction axis (last of `weights`, second-last of `values`) is
     summed in sorted order, so the result is bitwise invariant to
-    permutations of that axis. Used to apply attention weights to value
-    vectors, where the contracted axis enumerates sequence positions.
+    permutations of that axis. It forms a (..., M, K, N) product array.
+    The model does not use it (attention contracts with `matmul` over
+    keys in canonical order); it stays because the acceptance gate
+    grad-checks it.
     """
     if weights.ndim < 2 or values.ndim < 2:
         raise ShapeError(f"mix needs matrices, got shapes {weights.shape} and {values.shape}")
@@ -282,6 +286,28 @@ def mix(weights: Tensor, values: Tensor) -> Tensor:
         return gw, gv
 
     return _record(out, (weights, values), rule)
+
+
+def take_rows(a: Tensor, order: np.ndarray) -> Tensor:
+    """Rows of `a` along axis -2 in the order `order` gives, one sequence
+    per index of the leading axes: `out[..., i, :] = a[..., order[..., i], :]`.
+
+    `order` has shape `a.shape[:-1]` and holds a permutation of
+    `range(a.shape[-2])` for every sequence; the gradient goes back
+    through the inverse permutation.
+    """
+    order = np.asarray(order)
+    if a.ndim < 2 or order.shape != a.shape[:-1]:
+        raise ShapeError(f"take_rows needs an order of shape {a.shape[:-1]}, got {order.shape}")
+    if not (np.sort(order, axis=-1) == np.arange(a.shape[-2])).all():
+        raise ContractError("take_rows needs a permutation of the rows for every sequence")
+    out = Tensor(np.take_along_axis(a.data, order[..., None], axis=-2), a.requires_grad)
+
+    def rule(g):
+        inverse = np.argsort(order, axis=-1)
+        return (np.take_along_axis(g, inverse[..., None], axis=-2),)
+
+    return _record(out, (a,), rule)
 
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -308,18 +334,13 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * mask,))
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Stable softmax over the last axis; rows sum to one.
-
-    The normalizer sums exponentials in sorted order, making each row's
-    output bitwise invariant to reordering of the row's entries.
-    """
+def _softmax(a: Tensor, name: str, sorted_sum: bool) -> Tensor:
+    """Stable softmax over the last axis; rows sum to one."""
     if a.ndim < 1 or a.shape[-1] < 1:
-        raise ShapeError(f"softmax_rows needs a non-empty last axis, got shape {a.shape}")
-    m = a.data.max(axis=-1, keepdims=True)
-    e = np.exp(a.data - m)
-    denom = np.sort(e, axis=-1).sum(axis=-1, keepdims=True)
-    y = e / denom
+        raise ShapeError(f"{name} needs a non-empty last axis, got shape {a.shape}")
+    y = a.data - a.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= (np.sort(y, axis=-1) if sorted_sum else y).sum(axis=-1, keepdims=True)
     out = Tensor(y, a.requires_grad)
 
     def rule(g):
@@ -327,6 +348,21 @@ def softmax_rows(a: Tensor) -> Tensor:
         return ((g - dot) * y,)
 
     return _record(out, (a,), rule)
+
+
+def softmax(a: Tensor) -> Tensor:
+    """Stable softmax over the last axis; the normaliser sums the row in
+    the order it is stored."""
+    return _softmax(a, "softmax", sorted_sum=False)
+
+
+def softmax_rows(a: Tensor) -> Tensor:
+    """Stable softmax over the last axis whose normaliser sums each row in
+    sorted order, so each output row is bitwise invariant to reordering
+    the row's entries. The model uses `softmax` over keys in canonical
+    order instead; this stays because the acceptance gate grad-checks it.
+    """
+    return _softmax(a, "softmax_rows", sorted_sum=True)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:

@@ -176,9 +176,10 @@ def load_records(path, schema: Schema) -> RecordSet:
     """Read a comma-separated record file onto the dense grid.
 
     The header must contain exactly the schema's id/day/time columns plus
-    its channels. Missing (turbine, timestamp) rows and missing fields
-    become invalid cells; duplicates and unparseable numbers are errors, and
-    so is a grid of more than twice as many cells as there are data rows.
+    its channels, each once. Missing (turbine, timestamp) rows and missing
+    fields (short rows) become invalid cells; rows with more cells than the
+    header, duplicates and unparseable numbers are errors, and so is a grid
+    of more than twice as many cells as there are data rows.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -196,12 +197,20 @@ def load_records(path, schema: Schema) -> RecordSet:
         missing = [h for h in expected if h not in header]
         if missing:
             raise IngestError(f"{path}: schema column(s) {missing} absent from header")
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            raise IngestError(f"{path}: column(s) {repeated} repeated in header")
         col = {name: header.index(name) for name in expected}
+        width = len(header)
 
         rows = []
         for lineno, cells in enumerate(reader, start=2):
             if not cells or all(not c.strip() for c in cells):
                 continue
+            if len(cells) > width:
+                raise IngestError(
+                    f"{path}:{lineno}: {len(cells)} cells but the header has {width} columns"
+                )
             try:
                 turb = int(cells[col[schema.id_column]])
                 day = int(cells[col[schema.day_column]])

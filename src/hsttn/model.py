@@ -28,13 +28,13 @@ from .autodiff import (
     dropout,
     matmul,
     maxpool1d,
-    mix,
     permute,
     pointwise_conv,
     relu,
     reshape,
     scale,
-    softmax_rows,
+    softmax,
+    take_rows,
     upconv1d,
 )
 from .errors import ConfigError, ContractError, ShapeError
@@ -268,7 +268,8 @@ class ModelParameters:
 @dataclass
 class ScaleTrace:
     """Observable record of one forward pass: per-scale sequence lengths
-    and (optionally) raw attention weights."""
+    and (optionally) attention weights, (..., heads, Lq, Lk) per call with
+    keys in the caller's order."""
 
     collect_probs: bool = False
     encoder_lengths: list[int] = field(default_factory=list)
@@ -305,9 +306,14 @@ def attention(
 
     Inputs are (..., L, d): every index of the leading axes is one
     independent sequence, and queries from `query_seqs` attend to the
-    keys/values of `kv_seqs` at the same leading index. Softmax rows and
-    the weighted value mix both accumulate order-independently, so outputs
-    do not depend on how positions along the attended axis are enumerated.
+    keys/values of `kv_seqs` at the same leading index. Each key/value
+    sequence is first put into a canonical row order, a lexicographic sort
+    of its rows' float64 bit patterns, so rows can tie only when they are
+    bitwise identical. Every sum over keys then runs in that order, and
+    outputs do not depend on how positions along the attended axis are
+    enumerated: permuting the key/value rows leaves the output bitwise
+    unchanged, and permuting the query rows permutes it. A trace that
+    collects probabilities records them in the caller's key order.
     """
     lead = query_seqs.shape[:-2]
     if query_seqs.ndim < 2 or kv_seqs.ndim != query_seqs.ndim or kv_seqs.shape[:-2] != lead:
@@ -325,14 +331,16 @@ def attention(
     def split_heads(t: Tensor, width: int) -> Tensor:
         return permute(reshape(t, t.shape[:-1] + (n_heads, width)), heads_first)
 
-    q = split_heads(matmul(query_seqs, weights.wq), dk)
-    k = split_heads(matmul(kv_seqs, weights.wk), dk)
-    v = split_heads(matmul(kv_seqs, weights.wv), dv)
-    scores = scale(matmul(q, permute(k, (*range(n + 1), n + 2, n + 1))), 1.0 / math.sqrt(dk))
-    probs = softmax_rows(scores)
+    order = np.lexsort(np.moveaxis(kv_seqs.data.view(np.int64), -1, 0), axis=-1)
+    kv = take_rows(kv_seqs, order)
+    q = split_heads(scale(matmul(query_seqs, weights.wq), 1.0 / math.sqrt(dk)), dk)
+    k = split_heads(matmul(kv, weights.wk), dk)
+    v = split_heads(matmul(kv, weights.wv), dv)
+    probs = softmax(matmul(q, permute(k, (*range(n + 1), n + 2, n + 1))))
     if trace is not None and trace.collect_probs:
-        trace.attention_probs.append(probs.data.copy())
-    ctx = reshape(permute(mix(probs, v), heads_first), lead + (lq, n_heads * dv))
+        inverse = np.argsort(order, axis=-1)[..., None, None, :]
+        trace.attention_probs.append(np.take_along_axis(probs.data, inverse, axis=-1))
+    ctx = reshape(permute(matmul(probs, v), heads_first), lead + (lq, n_heads * dv))
     return matmul(ctx, weights.wo)
 
 

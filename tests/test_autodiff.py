@@ -21,8 +21,10 @@ from hsttn.autodiff import (
     pointwise_conv,
     relu,
     reshape,
+    softmax,
     softmax_rows,
     sum_all,
+    take_rows,
     upconv1d,
 )
 from hsttn.errors import ConfigError, ContractError, OracleError, ShapeError
@@ -88,6 +90,44 @@ class TestSoftmax:
         out = softmax_rows(Tensor(row)).data
         out_p = softmax_rows(Tensor(row[perm])).data
         assert np.array_equal(out_p, out[perm])
+
+    def test_plain_normaliser_agrees_with_sorted(self):
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(3, 5, 9))
+        out = softmax(Tensor(a)).data
+        assert np.allclose(out, softmax_rows(Tensor(a)).data, rtol=0, atol=1e-15)
+        assert np.all(np.abs(out.sum(axis=-1) - 1.0) <= 1e-12)
+
+    def test_scalar_rejected(self):
+        with pytest.raises(ShapeError, match="softmax needs a non-empty last axis"):
+            softmax(Tensor(1.0))
+
+
+class TestTakeRows:
+    def test_hand_example(self):
+        a = np.arange(12.0).reshape(2, 3, 2)
+        order = np.array([[2, 0, 1], [1, 2, 0]])
+        out = take_rows(Tensor(a), order).data
+        assert np.array_equal(out[0], a[0][[2, 0, 1]])
+        assert np.array_equal(out[1], a[1][[1, 2, 0]])
+
+    def test_gradient_goes_back_through_inverse(self):
+        a = leaf(np.arange(6.0).reshape(3, 2))
+        weights = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+        with GradTape() as tape:
+            loss = sum_all(mul(take_rows(a, np.array([2, 0, 1])), weights))
+        backward(loss, tape)
+        # output row 0 is input row 2, row 1 is row 0, row 2 is row 1
+        assert np.array_equal(a.grad, [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]])
+
+    def test_order_shape_must_match(self):
+        with pytest.raises(ShapeError, match=r"order of shape \(2, 3\)"):
+            take_rows(Tensor(np.ones((2, 3, 4))), np.array([0, 1, 2]))
+
+    @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1, 3], [-1, 0, 1]])
+    def test_order_must_be_a_permutation(self, order):
+        with pytest.raises(ContractError, match="permutation"):
+            take_rows(Tensor(np.ones((3, 2))), np.array(order))
 
 
 class TestRelu:
@@ -311,6 +351,28 @@ class TestGradCheck:
         probe = Tensor(rng.normal(size=4))
         weights = Tensor(rng.normal(size=4))
         assert grad_check(lambda x: sum_all(mul(softmax_rows(x), weights)), probe).passed
+
+    def test_take_rows_100_instances(self):
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            lead = tuple(rng.integers(1, 4, size=rng.integers(0, 3)))
+            rows, width = rng.integers(1, 6), rng.integers(1, 4)
+            order = np.stack([rng.permutation(rows) for _ in range(int(np.prod(lead)))])
+            order = order.reshape(lead + (rows,))
+            proj = Tensor(rng.normal(size=lead + (rows, width)))
+            report = grad_check(lambda x: sum_all(mul(take_rows(x, order), proj)),
+                                Tensor(rng.normal(size=lead + (rows, width))),
+                                eps=1e-5, tol=1e-4)
+            assert report.passed, report.max_rel_error
+
+    def test_softmax_100_instances(self):
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
+            proj = Tensor(rng.normal(size=shape))
+            report = grad_check(lambda x: sum_all(mul(softmax(x), proj)),
+                                Tensor(rng.normal(size=shape)), eps=1e-5, tol=1e-4)
+            assert report.passed, report.max_rel_error
 
     def test_non_finite_rejected(self):
         def f(x):

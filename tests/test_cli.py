@@ -150,6 +150,27 @@ class TestTrain:
         assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 3
         assert "(line 2) and the latest (line 3)" in capsys.readouterr().err
 
+    def test_repeated_column_is_io_error(self, workspace, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text((workspace / "run.cfg").read_text())
+        (tmp_path / "synthetic.schema").write_text(
+            (workspace / "synthetic.schema").read_text())
+        lines = (workspace / "synthetic.csv").read_text().splitlines()
+        last = lines[0].split(",")[-1]
+        doubled = [lines[0] + "," + last] + [line + ",999" for line in lines[1:]]
+        (tmp_path / "synthetic.csv").write_text("\n".join(doubled) + "\n")
+        assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 3
+        assert f"['{last}'] repeated in header" in capsys.readouterr().err
+
+    def test_row_wider_than_header_is_io_error(self, workspace, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text((workspace / "run.cfg").read_text())
+        (tmp_path / "synthetic.schema").write_text(
+            (workspace / "synthetic.schema").read_text())
+        lines = (workspace / "synthetic.csv").read_text().splitlines()
+        lines[3] += ",77"
+        (tmp_path / "synthetic.csv").write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 3
+        assert "synthetic.csv:4: " in capsys.readouterr().err
+
 
 class TestPredict:
     def test_row_count_and_cross_path_consistency(self, workspace, tmp_path):

@@ -100,6 +100,27 @@ class TestLoadRecords:
         with pytest.raises(IngestError, match="Mystery"):
             load_records(path, small_schema())
 
+    def test_repeated_column_rejected(self, tmp_path):
+        path = tmp_path / "farm.csv"
+        write_rows(path, HEADER + ["Patv"], [[1, 1, "00:00", 5.0, 10.0, 100.0, 999.0]])
+        with pytest.raises(IngestError, match=r"\['Patv'\] repeated in header"):
+            load_records(path, small_schema())
+
+    def test_row_wider_than_header_names_row(self, tmp_path):
+        path = tmp_path / "farm.csv"
+        write_rows(path, HEADER, [[1, 1, "00:00", 5.0, 10.0, 100.0],
+                                  [1, 1, "00:10", 5.0, 10.0, 100.0, 77]])
+        with pytest.raises(IngestError, match=r"farm\.csv:3: 7 cells but the header has 6"):
+            load_records(path, small_schema())
+
+    def test_short_row_becomes_invalid_cells(self, tmp_path):
+        path = tmp_path / "farm.csv"
+        write_rows(path, HEADER, [[1, 1, "00:00", 5.0, 10.0, 100.0],
+                                  [1, 1, "00:10", 5.0]])
+        rs = load_records(path, small_schema())
+        assert rs.validity.tolist() == [[True, False]]
+        assert rs.values[0, 1, 0] == 5.0 and np.isnan(rs.values[0, 1, 1:]).all()
+
     def test_unparseable_numeric_names_row(self, tmp_path):
         path = tmp_path / "farm.csv"
         write_rows(path, HEADER, [[1, 1, "00:00", "abc", 10.0, 100.0]])

@@ -11,6 +11,7 @@ from hsttn.model import (
     ModelConfig,
     ModelParameters,
     ScaleTrace,
+    VARIANT_NAMES,
     _fuse_maps,
     attention,
     make_variant,
@@ -178,6 +179,95 @@ class TestMsa:
             attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 3, 4))), w, 2)
         with pytest.raises(ShapeError):
             attention(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4))), w, 2)
+
+
+def reference_attention(q_in, kv_in, w: AttentionWeights, n_heads: int):
+    """Plain-numpy multi-head attention over the rows of one sequence:
+    (output, probabilities of shape (heads, Lq, Lk))."""
+    dk = w.wq.shape[1] // n_heads
+    dv = w.wv.shape[1] // n_heads
+    q = (q_in @ w.wq.data).reshape(len(q_in), n_heads, dk).transpose(1, 0, 2)
+    k = (kv_in @ w.wk.data).reshape(len(kv_in), n_heads, dk).transpose(1, 0, 2)
+    v = (kv_in @ w.wv.data).reshape(len(kv_in), n_heads, dv).transpose(1, 0, 2)
+    scores = q @ k.transpose(0, 2, 1) / np.sqrt(dk)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / e.sum(axis=-1, keepdims=True)
+    ctx = (probs @ v).transpose(1, 0, 2).reshape(len(q_in), n_heads * dv)
+    return ctx @ w.wo.data, probs
+
+
+def awkward_rows(rng, n: int, d: int) -> np.ndarray:
+    """Random rows plus exact duplicates and rows that differ only in the
+    sign of a zero, at shuffled positions."""
+    x = rng.normal(size=(n, d))
+    x[1] = x[0]
+    x[2] = x[0]
+    x[3, :] = 0.0
+    x[4, :] = 0.0
+    x[4, 1] = -0.0
+    x[5] = x[4]
+    return x[rng.permutation(n)]
+
+
+class TestKeyOrder:
+    """Attention sums over keys in a canonical order of the key/value rows."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_self_attention_is_bitwise_equivariant(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        w = random_weights(rng, 8, 2)
+        x = awkward_rows(rng, 11, 8)
+        out = attention(Tensor(x), Tensor(x), w, 2).data
+        for _ in range(5):
+            perm = rng.permutation(11)
+            out_p = attention(Tensor(x[perm]), Tensor(x[perm]), w, 2).data
+            assert np.array_equal(out_p, out[perm])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cross_attention_is_bitwise_invariant_to_key_order(self, seed):
+        rng = np.random.default_rng(50 + seed)
+        w = random_weights(rng, 8, 2)
+        q = rng.normal(size=(3, 7, 8))
+        kv = np.stack([awkward_rows(rng, 13, 8) for _ in range(3)])
+        out = attention(Tensor(q), Tensor(kv), w, 2).data
+        for _ in range(5):
+            perm = np.stack([rng.permutation(13) for _ in range(3)])
+            shuffled = np.take_along_axis(kv, perm[..., None], axis=1)
+            assert np.array_equal(attention(Tensor(q), Tensor(shuffled), w, 2).data, out)
+
+    def test_signed_zero_rows_are_told_apart(self):
+        # +0.0 and -0.0 compare equal but have different bits; the order
+        # puts them in one place whatever their input positions
+        rng = np.random.default_rng(60)
+        w = random_weights(rng, 4, 2)
+        q = Tensor(rng.normal(size=(3, 4)))
+        kv = np.zeros((2, 4))
+        kv[1, 2] = -0.0
+        out = attention(q, Tensor(kv), w, 2).data
+        assert np.array_equal(attention(q, Tensor(kv[::-1].copy()), w, 2).data, out)
+
+    def test_recorded_probs_follow_the_callers_key_order(self):
+        rng = np.random.default_rng(61)
+        w = random_weights(rng, 8, 2)
+        q = rng.normal(size=(2, 5, 8))
+        kv = rng.normal(size=(2, 9, 8))
+        trace = ScaleTrace(collect_probs=True)
+        out = attention(Tensor(q), Tensor(kv), w, 2, trace).data
+        (probs,) = trace.attention_probs
+        assert probs.shape == (2, 2, 5, 9)
+        for i in range(2):
+            ref_out, ref_probs = reference_attention(q[i], kv[i], w, 2)
+            assert np.allclose(probs[i], ref_probs, rtol=0, atol=1e-12)
+            assert np.allclose(out[i], ref_out, rtol=0, atol=1e-12)
+
+    def test_collecting_probs_leaves_outputs_unchanged(self):
+        cfg = tiny_config(n_turbines=5, history_len=12, horizon_len=12)
+        model = HSTTN(cfg, seed=62)
+        x = Tensor(np.random.default_rng(62).normal(size=(5, 12, 3)))
+        trace = ScaleTrace(collect_probs=True)
+        traced = model.forward(x, trace=trace).data
+        assert trace.attention_probs
+        assert np.array_equal(traced, model.forward(x).data)
 
 
 class TestCrossAttention:
@@ -547,6 +637,24 @@ class TestEquivariance:
         y = model.predict(x)
         y_perm = permuted.predict(x[perm])
         assert np.array_equal(y_perm, y[perm])
+
+
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    @pytest.mark.parametrize("n", [13, 37])
+    def test_every_variant_is_bitwise_equivariant(self, name, n):
+        # 13 and 37 rows leave partial BLAS tiles on both matmul axes
+        cfg = variant_config(ModelConfig(n_turbines=n, history_len=24, horizon_len=24,
+                                         n_channels=3, d_model=16, n_heads=2,
+                                         pool_factors=(3, 2), dropout_rate=0.0), name)
+        rng = np.random.default_rng(n)
+        model = HSTTN(cfg, seed=n)
+        x = rng.normal(size=(n, 24, 3))
+        perm = rng.permutation(n)
+        permuted = HSTTN(cfg, seed=n)
+        arrays = model.params.state_arrays()
+        arrays["turbine_table"] = arrays["turbine_table"][perm]
+        permuted.params.load_arrays(arrays)
+        assert np.array_equal(permuted.predict(x[perm]), model.predict(x)[perm])
 
 
 class TestParameters:
