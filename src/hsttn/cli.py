@@ -16,8 +16,6 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
-import numpy as np
-
 from . import checkpoint as ckpt_io
 from .data import (
     RecordSet,
@@ -25,6 +23,7 @@ from .data import (
     Schema,
     SplitBounds,
     apply_zscore,
+    csv_records,
     default_invalid_rules,
     fit_zscore,
     load_records,
@@ -253,20 +252,12 @@ def cmd_predict(args) -> int:
         )
     if origin > rs.n_timestamps:
         raise UsageError(f"origin {origin} is beyond the dataset ({rs.n_timestamps})")
-    window_list = make_windows(normed, h, f, stride=1, start=origin - h,
-                               end=min(origin + f, rs.n_timestamps)) \
-        if origin + f <= rs.n_timestamps else None
     target = rs.target_index
-    if window_list is not None:
-        window = window_list[0]
-    else:
-        # horizon extends past the data; build the history-only window
-        window = SampleWindow(
-            history=normed.values[:, origin - h:origin, :],
-            future_target=np.zeros((rs.n_turbines, f, 1)),
-            future_validity=np.zeros((rs.n_turbines, f), dtype=bool),
-            origin=origin,
-        )
+    # the future is cut short where the horizon runs past the data
+    future = slice(origin, origin + f)
+    window = SampleWindow(history=normed.values[:, origin - h:origin, :],
+                          future_target=normed.values[:, future, target:target + 1],
+                          future_validity=normed.validity[:, future], origin=origin)
     pred = predict_window(model, window, ckpt.norm_stats, target)
 
     out = Path(args.out)
@@ -277,8 +268,8 @@ def cmd_predict(args) -> int:
         for n in range(pred.shape[0]):
             for k in range(pred.shape[1]):
                 writer.writerow([n, k, repr(float(pred[n, k]))])
-    wrote_truth = False
-    if window_list is not None:
+    wrote_truth = window.future_validity.shape[1] == f
+    if wrote_truth:
         truth = ckpt.norm_stats.invert(window.future_target[:, :, 0], target)
         with (out / "truth.csv").open("w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -287,7 +278,6 @@ def cmd_predict(args) -> int:
                 for k in range(truth.shape[1]):
                     writer.writerow([n, k, repr(float(truth[n, k])),
                                      int(window.future_validity[n, k])])
-        wrote_truth = True
     print(f"forecast for {pred.shape[0]} turbines x {pred.shape[1]} steps "
           f"-> {out / 'forecast.csv'}" + (" (+ truth.csv)" if wrote_truth else ""))
     return EXIT_OK
@@ -319,7 +309,7 @@ def cmd_evaluate(args) -> int:
 def _read_grid(path) -> dict[tuple[int, int], float]:
     grid: dict[tuple[int, int], float] = {}
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv_records(fh)
         header = next(reader, None)
         if header is None or len(header) < 3:
             raise IngestError(f"{path}: expected a (turbine, step, value) table")

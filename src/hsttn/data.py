@@ -10,9 +10,10 @@ Invalid cells never influence statistics, losses, or metrics.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -154,14 +155,16 @@ class RecordSet:
         return self.schema.target_index
 
 
+# hours:minutes, one or two ASCII digits each, optionally with zero
+# seconds; a sign is let through so a negative field reads as out of range
+_TIME_OF_DAY = re.compile(r"(-?[0-9]{1,2}):(-?[0-9]{1,2})(?::00)?")
+
+
 def _parse_time(text: str, step_minutes: int, path, lineno: int) -> int:
-    parts = text.strip().split(":")
-    if len(parts) < 2:
+    match = _TIME_OF_DAY.fullmatch(text.strip())
+    if match is None:
         raise IngestError(f"{path}:{lineno}: cannot parse time of day {text!r}")
-    try:
-        hours, minutes = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise IngestError(f"{path}:{lineno}: cannot parse time of day {text!r}") from None
+    hours, minutes = int(match[1]), int(match[2])
     if not (0 <= hours < 24 and 0 <= minutes < 60):
         raise IngestError(f"{path}:{lineno}: time of day {text!r} is out of range")
     minute_of_day = hours * 60 + minutes
@@ -170,6 +173,19 @@ def _parse_time(text: str, step_minutes: int, path, lineno: int) -> int:
             f"{path}:{lineno}: time {text!r} is not aligned to {step_minutes}-minute slots"
         )
     return minute_of_day // step_minutes
+
+
+def csv_records(fh) -> Iterator[list[str]]:
+    """The records of a CSV file opened as UTF-8 text. Bytes that are not
+    UTF-8 and fields longer than the csv module's limit are `IngestError`s
+    naming the file, not decoder or parser exceptions."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{fh.name}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise IngestError(f"{fh.name}:{reader.line_num}: {exc}") from None
 
 
 def load_records(path, schema: Schema) -> RecordSet:
@@ -183,7 +199,7 @@ def load_records(path, schema: Schema) -> RecordSet:
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv_records(fh)
         try:
             header = next(reader)
         except StopIteration:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, IngestError
 
 
 def read_kv(path) -> dict[str, str]:
     out: dict[str, str] = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

@@ -157,20 +157,31 @@ def sinusoid_table(length: int, width: int) -> np.ndarray:
 
 
 class ModelParameters:
-    """Named tensor store; every shape is derivable from the config."""
+    """Named tensor store. The code that uses a tensor declares it through
+    `glorot`, `zeros` or `buffer`, which create it, register it under its
+    name and return it; declaration order is the order of the Philox draws
+    and of the checkpoint arrays."""
 
-    def __init__(self):
+    def __init__(self, rng: RngStream):
+        self._rng = rng
         self._tensors: dict[str, Tensor] = {}
 
-    def add_param(self, name: str, array: np.ndarray) -> Tensor:
-        t = Tensor(array, requires_grad=True)
-        self._tensors[name] = t
+    def _register(self, name: str, array: np.ndarray, requires_grad: bool) -> Tensor:
+        t = self._tensors[name] = Tensor(array, requires_grad=requires_grad)
         return t
 
-    def add_buffer(self, name: str, array: np.ndarray) -> Tensor:
-        t = Tensor(array, requires_grad=False)
-        self._tensors[name] = t
-        return t
+    def glorot(self, name: str, shape: tuple[int, ...]) -> Tensor:
+        """Trainable, uniform in +-sqrt(6 / (fan_in + fan_out)); the last axis
+        is fan-out, the others fan-in."""
+        limit = math.sqrt(6.0 / (math.prod(shape[:-1]) + shape[-1]))
+        return self._register(name, self._rng.uniform(shape, -limit, limit), True)
+
+    def zeros(self, name: str, shape: tuple[int, ...]) -> Tensor:
+        return self._register(name, np.zeros(shape, dtype=np.float64), True)
+
+    def buffer(self, name: str, array: np.ndarray) -> Tensor:
+        """Stored and checkpointed, never trained."""
+        return self._register(name, array, False)
 
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
@@ -207,63 +218,6 @@ class ModelParameters:
                 )
             t.data = arr.copy()
 
-    @classmethod
-    def build(cls, cfg: ModelConfig, rng: RngStream) -> "ModelParameters":
-        store = cls()
-
-        def glorot(name: str, shape: tuple[int, ...]) -> None:
-            fan_in = int(np.prod(shape[:-1]))
-            fan_out = int(shape[-1])
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            store.add_param(name, rng.uniform(shape, -limit, limit))
-
-        def zeros(name: str, shape: tuple[int, ...]) -> None:
-            store.add_param(name, np.zeros(shape, dtype=np.float64))
-
-        def attn(prefix: str) -> None:
-            d, h = cfg.d_model, cfg.n_heads
-            glorot(f"{prefix}.wq", (d, h * cfg.head_dim_k))
-            glorot(f"{prefix}.wk", (d, h * cfg.head_dim_k))
-            glorot(f"{prefix}.wv", (d, h * cfg.head_dim_v))
-            glorot(f"{prefix}.wo", (h * cfg.head_dim_v, d))
-
-        d = cfg.d_model
-        glorot("embed.w", (cfg.n_channels, d))
-        zeros("embed.b", (d,))
-        glorot("turbine_table", (cfg.n_turbines, d))
-        store.add_buffer("pos_table", sinusoid_table(cfg.history_len + cfg.horizon_len, d))
-
-        for s in range(cfg.n_scales):
-            for layer in range(cfg.layers_encoder):
-                prefix = f"enc.s{s}.l{layer}"
-                if cfg.use_temporal_branch:
-                    attn(f"{prefix}.tem")
-                if cfg.use_spatial_branch:
-                    attn(f"{prefix}.spa")
-                if cfg.fused:
-                    glorot(f"{prefix}.cfb.w", (2 * d, d))
-                    zeros(f"{prefix}.cfb.b", (d,))
-        for s in range(cfg.n_scales):
-            for layer in range(cfg.layers_decoder):
-                prefix = f"dec.s{s}.l{layer}"
-                if cfg.use_temporal_branch:
-                    attn(f"{prefix}.tem.self")
-                    attn(f"{prefix}.tem.cross")
-                if cfg.use_spatial_branch:
-                    attn(f"{prefix}.spa.self")
-                    attn(f"{prefix}.spa.cross")
-                if cfg.fused:
-                    glorot(f"{prefix}.cfb.w", (2 * d, d))
-                    zeros(f"{prefix}.cfb.b", (d,))
-        up_in = 2 * d if cfg.use_skip else d
-        for t, factor in enumerate(cfg.pool_factors):
-            for branch in cfg.branch_names:
-                glorot(f"up.t{t}.{branch}.w", (factor, up_in, d))
-                zeros(f"up.t{t}.{branch}.b", (d,))
-        glorot("head.w", (2 * d, 1))
-        zeros("head.b", (1,))
-        return store
-
 
 @dataclass
 class ScaleTrace:
@@ -290,9 +244,11 @@ class AttentionWeights:
     wo: Tensor
 
     @classmethod
-    def from_store(cls, store: ModelParameters, prefix: str) -> "AttentionWeights":
-        return cls(store[f"{prefix}.wq"], store[f"{prefix}.wk"],
-                   store[f"{prefix}.wv"], store[f"{prefix}.wo"])
+    def declare(cls, store: ModelParameters, prefix: str, cfg: ModelConfig
+                ) -> "AttentionWeights":
+        d, qk, v = cfg.d_model, cfg.n_heads * cfg.head_dim_k, cfg.n_heads * cfg.head_dim_v
+        return cls(store.glorot(f"{prefix}.wq", (d, qk)), store.glorot(f"{prefix}.wk", (d, qk)),
+                   store.glorot(f"{prefix}.wv", (d, v)), store.glorot(f"{prefix}.wo", (v, d)))
 
 
 def attention(
@@ -371,9 +327,13 @@ def _residual(m: Tensor, maps: list[Tensor], fuse: tuple[Tensor, Tensor] | None)
     return add(joined, m)
 
 
-def _fusion_weights(store: ModelParameters, prefix: str, cfg: ModelConfig
+def _declare_fusion(store: ModelParameters, prefix: str, cfg: ModelConfig
                     ) -> tuple[Tensor, Tensor] | None:
-    return (store[f"{prefix}.cfb.w"], store[f"{prefix}.cfb.b"]) if cfg.fused else None
+    """The fusion block's 1x1 conv from 2d to d channels, if the layer has one."""
+    if not cfg.fused:
+        return None
+    d = cfg.d_model
+    return store.glorot(f"{prefix}.cfb.w", (2 * d, d)), store.zeros(f"{prefix}.cfb.b", (d,))
 
 
 class EncoderLayer:
@@ -382,10 +342,10 @@ class EncoderLayer:
     def __init__(self, store: ModelParameters, prefix: str, cfg: ModelConfig):
         self.cfg = cfg
         if cfg.use_temporal_branch:
-            self.tem = AttentionWeights.from_store(store, f"{prefix}.tem")
+            self.tem = AttentionWeights.declare(store, f"{prefix}.tem", cfg)
         if cfg.use_spatial_branch:
-            self.spa = AttentionWeights.from_store(store, f"{prefix}.spa")
-        self.fuse = _fusion_weights(store, prefix, cfg)
+            self.spa = AttentionWeights.declare(store, f"{prefix}.spa", cfg)
+        self.fuse = _declare_fusion(store, prefix, cfg)
 
     def __call__(self, state: dict[str, Tensor], trace: ScaleTrace | None = None
                  ) -> dict[str, Tensor]:
@@ -408,12 +368,12 @@ class DecoderLayer:
     def __init__(self, store: ModelParameters, prefix: str, cfg: ModelConfig):
         self.cfg = cfg
         if cfg.use_temporal_branch:
-            self.tem_self = AttentionWeights.from_store(store, f"{prefix}.tem.self")
-            self.tem_cross = AttentionWeights.from_store(store, f"{prefix}.tem.cross")
+            self.tem_self = AttentionWeights.declare(store, f"{prefix}.tem.self", cfg)
+            self.tem_cross = AttentionWeights.declare(store, f"{prefix}.tem.cross", cfg)
         if cfg.use_spatial_branch:
-            self.spa_self = AttentionWeights.from_store(store, f"{prefix}.spa.self")
-            self.spa_cross = AttentionWeights.from_store(store, f"{prefix}.spa.cross")
-        self.fuse = _fusion_weights(store, prefix, cfg)
+            self.spa_self = AttentionWeights.declare(store, f"{prefix}.spa.self", cfg)
+            self.spa_cross = AttentionWeights.declare(store, f"{prefix}.spa.cross", cfg)
+        self.fuse = _declare_fusion(store, prefix, cfg)
 
     def __call__(self, state: dict[str, Tensor], enc_state: dict[str, Tensor],
                  trace: ScaleTrace | None = None) -> dict[str, Tensor]:
@@ -441,28 +401,34 @@ class HSTTN:
     """The assembled forecaster. `forward` maps a (N, H, C) history grid
     to (N, F, 1) power predictions."""
 
-    def __init__(self, config: ModelConfig, params: ModelParameters | None = None,
-                 seed: int = 0):
+    def __init__(self, config: ModelConfig, seed: int = 0):
         config.validate()
-        self.config = config
-        self.params = params if params is not None else ModelParameters.build(
-            config, RngStream(seed).child(0))
-        cfg = config
-        self.enc_layers = [
-            [EncoderLayer(self.params, f"enc.s{s}.l{l}", cfg) for l in range(cfg.layers_encoder)]
-            for s in range(cfg.n_scales)
-        ]
-        self.dec_layers = [
-            [DecoderLayer(self.params, f"dec.s{s}.l{l}", cfg) for l in range(cfg.layers_decoder)]
-            for s in range(cfg.n_scales)
-        ]
+        self.config = cfg = config
+        self.params = p = ModelParameters(RngStream(seed).child(0))
+        d = cfg.d_model
+        self.embed_w = p.glorot("embed.w", (cfg.n_channels, d))
+        self.embed_b = p.zeros("embed.b", (d,))
+        self.turbine_table = p.glorot("turbine_table", (cfg.n_turbines, d))
+        self.pos_table = p.buffer("pos_table",
+                                  sinusoid_table(cfg.history_len + cfg.horizon_len, d))
+        self.enc_layers = [[EncoderLayer(p, f"enc.s{s}.l{l}", cfg)
+                            for l in range(cfg.layers_encoder)] for s in range(cfg.n_scales)]
+        self.dec_layers = [[DecoderLayer(p, f"dec.s{s}.l{l}", cfg)
+                            for l in range(cfg.layers_decoder)] for s in range(cfg.n_scales)]
+        # one up-convolution per scale transition t (scale t+1 -> t) and state map
+        up_in = 2 * d if cfg.use_skip else d
+        self.up = [{key: (p.glorot(f"up.t{t}.{key}.w", (factor, up_in, d)),
+                          p.zeros(f"up.t{t}.{key}.b", (d,))) for key in cfg.branch_names}
+                   for t, factor in enumerate(cfg.pool_factors)]
+        self.head_w = p.glorot("head.w", (2 * d, 1))
+        self.head_b = p.zeros("head.b", (1,))
 
     def _embed(self, features: Tensor, positions: np.ndarray) -> Tensor:
         """Attach time positions and turbine identity to embedded features:
         (N, L, d) from the history, or one (d,) vector for every future step."""
         cfg = self.config
-        f = add(features, Tensor(self.params["pos_table"].data[positions]))
-        turb = reshape(self.params["turbine_table"], (cfg.n_turbines, 1, cfg.d_model))
+        f = add(features, Tensor(self.pos_table.data[positions]))
+        turb = reshape(self.turbine_table, (cfg.n_turbines, 1, cfg.d_model))
         return add(f, turb)
 
     def _decoder_entry(self) -> Tensor:
@@ -470,7 +436,7 @@ class HSTTN:
         its bias, so the entry depends on the parameters alone."""
         cfg = self.config
         future = np.arange(cfg.history_len, cfg.history_len + cfg.horizon_len)
-        return self._embed(relu(self.params["embed.b"]), future)
+        return self._embed(relu(self.embed_b), future)
 
     def forward(self, x: Tensor, training: bool = False, rng: RngStream | None = None,
                 trace: ScaleTrace | None = None) -> Tensor:
@@ -485,7 +451,7 @@ class HSTTN:
         else:
             trace.reset()
 
-        history = pointwise_conv(x, self.params["embed.w"], self.params["embed.b"])
+        history = pointwise_conv(x, self.embed_w, self.embed_b)
         state = dict.fromkeys(cfg.branch_names, self._embed(history, np.arange(cfg.history_len)))
         n_transitions = len(cfg.pool_factors)
         skips = []  # the encoder output at every scale
@@ -507,13 +473,11 @@ class HSTTN:
             for layer in self.dec_layers[s]:
                 dstate = layer(dstate, skips[s], trace)
             if s > 0:
-                t = s - 1
                 merged = {}
                 for key, m in dstate.items():
                     if cfg.use_skip:
                         m = concat([m, skips[s][key]], axis=2)
-                    merged[key] = upconv1d(
-                        m, self.params[f"up.t{t}.{key}.w"], self.params[f"up.t{t}.{key}.b"])
+                    merged[key] = upconv1d(m, *self.up[s - 1][key])
                 dstate = merged
 
         # one state map: original-scale encoder and decoder outputs side by
@@ -531,7 +495,7 @@ class HSTTN:
                 f"regression head expects {2 * cfg.d_model} channels, got {features.shape[-1]}"
             )
         h = dropout(features, cfg.dropout_rate, training, rng)
-        return add(matmul(h, self.params["head.w"]), self.params["head.b"])
+        return add(matmul(h, self.head_w), self.head_b)
 
     def predict(self, history: np.ndarray) -> np.ndarray:
         """Inference without gradient recording; returns (N, F, 1)."""

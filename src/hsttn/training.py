@@ -9,7 +9,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import GradTape, RngStream, Tensor, backward, mul, scale, sum_all
+from .autodiff import GradTape, RngStream, Tensor, add, backward, mul, scale, sum_all
 from .data import NormStats, SampleWindow, drop_fully_invalid
 from .errors import ConfigError, DatasetError, TrainingError
 from .model import HSTTN, ModelConfig
@@ -52,9 +52,13 @@ def mse_loss(y_hat: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:
     if m == 0:
         raise TrainingError("loss over a window with zero valid positions "
                             "(it should have been dropped upstream)")
-    diff = y_hat - Tensor(y)
+    diff = add(y_hat, scale(Tensor(y), -1.0))
     masked_sq = mul(mul(diff, diff), Tensor(mask[..., None].astype(np.float64)))
     return scale(sum_all(masked_sq), 1.0 / m)
+
+
+# Adam's moment decay rates and the epsilon under its square root
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -64,9 +68,6 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, params: Mapping[str, Tensor]) -> "AdamState":
@@ -77,19 +78,19 @@ class AdamState:
 def adam_step(params: Mapping[str, Tensor], state: AdamState, lr: float) -> None:
     """One Adam update over every parameter with a populated gradient."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, p in params.items():
         g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * g * g
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
         m_hat = state.m[name] / bc1
         v_hat = state.v[name] / bc2
-        p.data = p.data - lr * m_hat / np.sqrt(v_hat + state.eps)
+        p.data = p.data - lr * m_hat / np.sqrt(v_hat + EPS)
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
@@ -193,7 +194,7 @@ def train(model: HSTTN, train_windows: Sequence[SampleWindow],
                 for w in batch:
                     y_hat = model.forward(Tensor(w.history), training=True, rng=dropout_rng)
                     wl = mse_loss(y_hat, w.future_target, w.future_validity)
-                    loss = wl if loss is None else loss + wl
+                    loss = wl if loss is None else add(loss, wl)
                 loss = scale(loss, 1.0 / len(batch))
                 if not np.isfinite(loss.data):
                     raise TrainingError(

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -172,6 +174,24 @@ class TestTrain:
         assert "synthetic.csv:4: " in capsys.readouterr().err
 
 
+    # one field past the csv module's default limit of 131,072 characters
+    OVERSIZED_ROW = b"1,1,00:00," + b"1" * 131_073 + b",0,0,0\n"
+
+    @pytest.mark.parametrize("name, tail", [
+        ("run.cfg", b"# caf\xe9\n"),
+        ("synthetic.schema", b"# caf\xe9\n"),
+        ("synthetic.csv", b"1,1,caf\xe9,0,0,0,0\n"),
+        ("synthetic.csv", OVERSIZED_ROW),
+    ], ids=["run_config_latin1", "schema_latin1", "records_latin1", "records_oversized_field"])
+    def test_unreadable_text_is_io_error(self, workspace, tmp_path, capsys, name, tail):
+        for copy in ("run.cfg", "synthetic.csv", "synthetic.schema"):
+            (tmp_path / copy).write_bytes((workspace / copy).read_bytes())
+        with (tmp_path / name).open("ab") as fh:
+            fh.write(tail)
+        assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 3
+        assert f"{tmp_path / name}:" in capsys.readouterr().err
+
+
 class TestPredict:
     def test_row_count_and_cross_path_consistency(self, workspace, tmp_path):
         ckpt_path = workspace / "run_out" / "checkpoint.bin"
@@ -282,6 +302,96 @@ class TestCorruptCheckpoint:
         assert code in (0, 2, 3, 4)
 
 
+def mutate(data, blob: bytes) -> bytes:
+    """Truncate `blob` or XOR one to four of its bytes with random masks."""
+    blob = bytearray(blob)
+    if data.draw(st.booleans(), label="truncate"):
+        return bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="length")])
+    flips = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255))
+    for index, mask in data.draw(st.lists(flips, min_size=1, max_size=4), label="flips"):
+        blob[index] ^= mask
+    return bytes(blob)
+
+
+# fields that Python's int() would take but a time of day must not contain
+NOT_AN_INTEGER = st.sampled_from(["", "ab", "1.5", "0x1", "--2", "1e1", "1_0", "+1",
+                                  "\u0661\u0662"])
+CELL_TEXT = st.characters(blacklist_characters=',"\r\n', blacklist_categories=("Cs",))
+# a cell that `_parse_time` must refuse: no colon, a non-integer field, a
+# third field other than zero seconds, an hour or minute out of range, or
+# a time off the 10-minute grid
+MALFORMED_TMSTAMPS = st.one_of(
+    st.text(CELL_TEXT, max_size=8).filter(lambda t: ":" not in t),
+    st.builds("{}:00".format, NOT_AN_INTEGER),
+    st.builds("12:{}".format, NOT_AN_INTEGER),
+    st.builds("12:10:{}".format,
+              st.text(CELL_TEXT, max_size=4).filter(lambda t: t.rstrip() != "00")),
+    st.builds("{}:{:02d}".format, st.integers(24, 99) | st.integers(-99, -1),
+              st.integers(0, 59)),
+    st.builds("{:02d}:{}".format, st.integers(0, 23), st.integers(60, 99) | st.integers(-9, -1)),
+    st.builds("{:02d}:{:02d}".format, st.integers(0, 23),
+              st.integers(0, 59).filter(lambda m: m % 10)),
+)
+
+
+# the workspace run config with its two required keys last: a truncation
+# then drops them (exit 2) instead of training for the default 50 epochs
+FUZZ_CONFIG = "".join(sorted(RUN_CONFIG.splitlines(keepends=True),
+                             key=lambda line: line.startswith(("data ", "schema "))))
+
+
+class TestFuzzedInputs:
+    """Corrupted training and evaluation inputs end in a documented exit
+    code (0 ok, 2 usage, 3 file, 4 numerical), never in an exception."""
+
+    @staticmethod
+    def inputs(workspace) -> dict[str, bytes]:
+        return {"run.cfg": FUZZ_CONFIG.encode(),
+                "synthetic.csv": (workspace / "synthetic.csv").read_bytes(),
+                "synthetic.schema": (workspace / "synthetic.schema").read_bytes()}
+
+    def fuzz_dir(self, workspace, corrupt: str | None = None, data=None):
+        """A copy of the training inputs with the file `corrupt` mutated."""
+        fuzz = workspace / "fuzz_inputs"
+        fuzz.mkdir(exist_ok=True)
+        for name, blob in self.inputs(workspace).items():
+            (fuzz / name).write_bytes(mutate(data, blob) if name == corrupt else blob)
+        return fuzz
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_train_on_corrupted_files(self, workspace, data):
+        name = data.draw(st.sampled_from(["run.cfg", "synthetic.csv", "synthetic.schema"]))
+        fuzz = self.fuzz_dir(workspace, name, data)
+        code = main(["train", "--config", str(fuzz / "run.cfg"), "--out", str(fuzz / "out")])
+        assert code in (0, 2, 3, 4)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_evaluate_on_corrupted_files(self, workspace, data):
+        name = data.draw(st.sampled_from(["synthetic.csv", "synthetic.schema"]))
+        fuzz = self.fuzz_dir(workspace, name, data)
+        code = main(["evaluate", "--checkpoint", str(workspace / "run_out" / "checkpoint.bin"),
+                     "--data", str(fuzz / "synthetic.csv"),
+                     "--schema", str(fuzz / "synthetic.schema"),
+                     "--start", "130", "--stride", "6", "--out", str(fuzz / "out")])
+        assert code in (0, 2, 3, 4)
+
+    @given(row=st.integers(1, 320), stamp=MALFORMED_TMSTAMPS)
+    @settings(max_examples=40, deadline=None)
+    def test_malformed_tmstamp_is_io_error(self, workspace, row, stamp):
+        fuzz = self.fuzz_dir(workspace)
+        lines = (workspace / "synthetic.csv").read_text().splitlines()
+        cells = lines[row].split(",")
+        cells[2] = stamp
+        lines[row] = ",".join(cells)
+        (fuzz / "synthetic.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["train", "--config", str(fuzz / "run.cfg")]) == 3
+        assert f"synthetic.csv:{row + 1}: " in err.getvalue()
+
+
 class TestPlot:
     @pytest.fixture()
     def forecast_files(self, workspace, tmp_path):
@@ -322,6 +432,16 @@ class TestPlot:
         bad.write_text(forecast.read_text() + row + "\n")
         assert main(["plot", "--forecast", str(bad), "--truth", str(truth),
                      "--turbine", "0", "--out", str(tmp_path / "x.svg")]) == 3
+
+    @pytest.mark.parametrize("row", [b"0,99,caf\xe9\n", b"0,99," + b"1" * 131_073 + b"\n"],
+                             ids=["latin1", "oversized_field"])
+    def test_unreadable_text_is_io_error(self, forecast_files, tmp_path, capsys, row):
+        forecast, truth = forecast_files
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(forecast.read_bytes() + row)
+        assert main(["plot", "--forecast", str(bad), "--truth", str(truth),
+                     "--turbine", "0", "--out", str(tmp_path / "x.svg")]) == 3
+        assert f"{bad}:" in capsys.readouterr().err
 
     def test_grid_mismatch(self, forecast_files, tmp_path):
         forecast, truth = forecast_files

@@ -135,6 +135,22 @@ class TestLoadRecords:
         with pytest.raises(IngestError, match=r"farm\.csv:3: time of day .* out of range"):
             load_records(path, small_schema())
 
+    @pytest.mark.parametrize("stamp", ["12:10:99", "12:10:", "1_2:10", "+12:10", "12:1_0",
+                                       "\u0661\u0662:10", "12:10:00:00",
+                                       pytest.param("1" * 5000 + ":00", id="5000-digit-hour")])
+    def test_time_of_day_with_other_characters_names_row(self, tmp_path, stamp):
+        path = tmp_path / "farm.csv"
+        write_rows(path, HEADER, [[1, 1, "00:00", 5.0, 10.0, 100.0],
+                                  [1, 1, stamp, 5.0, 10.0, 100.0]])
+        with pytest.raises(IngestError, match=r"farm\.csv:3: cannot parse time of day"):
+            load_records(path, small_schema())
+
+    def test_time_of_day_may_carry_zero_seconds(self, tmp_path):
+        path = tmp_path / "farm.csv"
+        write_rows(path, HEADER, [[1, 1, "00:00:00", 5.0, 10.0, 100.0],
+                                  [1, 1, " 0:10 ", 5.0, 10.0, 100.0]])
+        assert load_records(path, small_schema()).n_timestamps == 2
+
     def test_sparse_span_rejected_before_allocating(self, tmp_path):
         path = tmp_path / "farm.csv"
         write_rows(path, HEADER, [[1, 5000, "00:00", 5.0, 10.0, 100.0],

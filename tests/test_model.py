@@ -330,44 +330,25 @@ class TestContextualFusion:
                        Tensor(np.ones((8, 4))), Tensor(np.zeros(4)))
 
 
+def fill_store(store, rng=None, zero=lambda name: False):
+    """Overwrite every tensor in declaration order: zeros without an rng
+    (or where `zero(name)`), otherwise normal draws scaled by 0.4."""
+    store.load_arrays({name: np.zeros(t.shape) if rng is None or zero(name)
+                       else rng.normal(size=t.shape) * 0.4 for name, t in store.items()})
+
+
 def build_encoder_layer(cfg, rng=None):
-    store = ModelParameters()
-    d = cfg.d_model
-    prefix = "enc.s0.l0"
-
-    def arr(shape):
-        if rng is None:
-            return np.zeros(shape)
-        return rng.normal(size=shape) * 0.4
-
-    for branch in ("tem", "spa"):
-        for name in ("wq", "wk", "wv", "wo"):
-            store.add_param(f"{prefix}.{branch}.{name}", arr((d, d)))
-    if cfg.fused:
-        store.add_param(f"{prefix}.cfb.w", arr((2 * d, d)))
-        store.add_param(f"{prefix}.cfb.b", arr((d,)))
-    return EncoderLayer(store, prefix, cfg), store
+    store = ModelParameters(RngStream(0))
+    layer = EncoderLayer(store, "enc.s0.l0", cfg)
+    fill_store(store, rng)
+    return layer, store
 
 
 def build_decoder_layer(cfg, rng=None, zero_cross=False):
-    store = ModelParameters()
-    d = cfg.d_model
-    prefix = "dec.s0.l0"
-
-    def arr(shape, zero=False):
-        if rng is None or zero:
-            return np.zeros(shape)
-        return rng.normal(size=shape) * 0.4
-
-    for branch in ("tem", "spa"):
-        for role in ("self", "cross"):
-            for name in ("wq", "wk", "wv", "wo"):
-                store.add_param(f"{prefix}.{branch}.{role}.{name}",
-                                arr((d, d), zero=zero_cross and role == "cross"))
-    if cfg.fused:
-        store.add_param(f"{prefix}.cfb.w", arr((2 * d, d)))
-        store.add_param(f"{prefix}.cfb.b", arr((d,)))
-    return DecoderLayer(store, prefix, cfg), store
+    store = ModelParameters(RngStream(0))
+    layer = DecoderLayer(store, "dec.s0.l0", cfg)
+    fill_store(store, rng, zero=lambda name: zero_cross and ".cross." in name)
+    return layer, store
 
 
 class TestResidualLayers:
@@ -381,26 +362,23 @@ class TestResidualLayers:
     def test_no_fusion_variant_is_attention_plus_input(self):
         cfg = tiny_config(use_cfb=False)
         rng = np.random.default_rng(12)
-        layer, store = build_encoder_layer(cfg, rng)
+        layer, _ = build_encoder_layer(cfg, rng)
         m = Tensor(rng.normal(size=(2, 6, 4)))
         out = layer({"tem": m, "spa": m})
         for branch, axis in (("tem", 1), ("spa", 0)):
-            w = AttentionWeights.from_store(store, f"enc.s0.l0.{branch}")
-            expected = attend_along(m, w, cfg.n_heads, axis).data + m.data
+            expected = attend_along(m, getattr(layer, branch), cfg.n_heads, axis).data + m.data
             assert np.array_equal(out[branch].data, expected)
 
     def test_layer_matches_straightline_composition(self):
         cfg = tiny_config()
         rng = np.random.default_rng(13)
-        layer, store = build_encoder_layer(cfg, rng)
+        layer, _ = build_encoder_layer(cfg, rng)
         m = Tensor(rng.normal(size=(2, 6, 4)))
         out = layer({"st": m})["st"]
 
-        tem_w = AttentionWeights.from_store(store, "enc.s0.l0.tem")
-        spa_w = AttentionWeights.from_store(store, "enc.s0.l0.spa")
-        a_tem = attend_along(m, tem_w, cfg.n_heads, axis=1)
-        a_spa = attend_along(m, spa_w, cfg.n_heads, axis=0)
-        fused = _fuse_maps(a_spa, a_tem, store["enc.s0.l0.cfb.w"], store["enc.s0.l0.cfb.b"])
+        a_tem = attend_along(m, layer.tem, cfg.n_heads, axis=1)
+        a_spa = attend_along(m, layer.spa, cfg.n_heads, axis=0)
+        fused = _fuse_maps(a_spa, a_tem, *layer.fuse)
         assert np.array_equal(out.data, fused.data + m.data)
 
     def test_decoder_zero_parameters_identity(self):
@@ -657,14 +635,51 @@ class TestEquivariance:
         assert np.array_equal(permuted.predict(x[perm]), model.predict(x)[perm])
 
 
+def attn_names(prefix):
+    return [f"{prefix}.{w}" for w in ("wq", "wk", "wv", "wo")]
+
+
 class TestParameters:
     def test_shapes_derivable_from_config(self):
         cfg = tiny_config()
-        a = ModelParameters.build(cfg, RngStream(1).child(0))
-        b = ModelParameters.build(cfg, RngStream(2).child(0))
+        a = HSTTN(cfg, seed=1).params
+        b = HSTTN(cfg, seed=2).params
         assert a.names() == b.names()
         for name in a.names():
             assert a[name].shape == b[name].shape
+
+    # checkpoint arrays and the initialiser's draws follow declaration order;
+    # the tiny config's single pooling factor keeps the lists short
+    @pytest.mark.parametrize("edits, names", [
+        ({}, [
+            "embed.w", "embed.b", "turbine_table", "pos_table",
+            *attn_names("enc.s0.l0.tem"), *attn_names("enc.s0.l0.spa"),
+            "enc.s0.l0.cfb.w", "enc.s0.l0.cfb.b",
+            *attn_names("enc.s1.l0.tem"), *attn_names("enc.s1.l0.spa"),
+            "enc.s1.l0.cfb.w", "enc.s1.l0.cfb.b",
+            *attn_names("dec.s0.l0.tem.self"), *attn_names("dec.s0.l0.tem.cross"),
+            *attn_names("dec.s0.l0.spa.self"), *attn_names("dec.s0.l0.spa.cross"),
+            "dec.s0.l0.cfb.w", "dec.s0.l0.cfb.b",
+            *attn_names("dec.s1.l0.tem.self"), *attn_names("dec.s1.l0.tem.cross"),
+            *attn_names("dec.s1.l0.spa.self"), *attn_names("dec.s1.l0.spa.cross"),
+            "dec.s1.l0.cfb.w", "dec.s1.l0.cfb.b",
+            "up.t0.st.w", "up.t0.st.b", "head.w", "head.b",
+        ]),
+        (dict(use_cfb=False), [
+            "embed.w", "embed.b", "turbine_table", "pos_table",
+            *attn_names("enc.s0.l0.tem"), *attn_names("enc.s0.l0.spa"),
+            *attn_names("enc.s1.l0.tem"), *attn_names("enc.s1.l0.spa"),
+            *attn_names("dec.s0.l0.tem.self"), *attn_names("dec.s0.l0.tem.cross"),
+            *attn_names("dec.s0.l0.spa.self"), *attn_names("dec.s0.l0.spa.cross"),
+            *attn_names("dec.s1.l0.tem.self"), *attn_names("dec.s1.l0.tem.cross"),
+            *attn_names("dec.s1.l0.spa.self"), *attn_names("dec.s1.l0.spa.cross"),
+            "up.t0.tem.w", "up.t0.tem.b", "up.t0.spa.w", "up.t0.spa.b",
+            "head.w", "head.b",
+        ]),
+    ], ids=["hsttn", "st_only"])
+    def test_declaration_order(self, edits, names):
+        cfg = tiny_config(layers_encoder=1, **edits)
+        assert HSTTN(cfg, seed=0).params.names() == names
 
     def test_load_rejects_wrong_names(self):
         model = HSTTN(tiny_config(), seed=14)
