@@ -15,7 +15,6 @@ from .data import (
     Schema,
     SplitBounds,
     apply_zscore,
-    default_invalid_rules,
     fit_zscore,
     load_records,
     make_windows,
@@ -49,8 +48,8 @@ __all__ = [
     "MetricReport", "ModelConfig", "ModelParameters", "NormStats", "RecordSet",
     "RngStream", "SampleWindow", "ScaleTrace", "Schema", "SplitBounds",
     "Tensor", "TrainConfig", "adam_step", "apply_zscore", "backward",
-    "default_invalid_rules", "early_stop", "evaluate_model", "fit_zscore",
-    "grad_check", "load_records", "lr_schedule", "make_variant",
-    "make_windows", "mark_invalid", "masked_mae", "masked_rmse", "mse_loss",
+    "early_stop", "evaluate_model", "fit_zscore", "grad_check",
+    "load_records", "lr_schedule", "make_variant", "make_windows",
+    "mark_invalid", "masked_mae", "masked_rmse", "mse_loss",
     "synth_generate", "train", "variant_config",
 ]

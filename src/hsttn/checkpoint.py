@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 
 from .container import read_container, write_container
 from .data import NormStats
-from .errors import ContractError, IngestError
+from .errors import ConfigError, IngestError
 from .model import HSTTN, ModelConfig
 from .training import Checkpoint, TrainConfig
 
@@ -29,15 +29,9 @@ _FIELD_CHECKS = {
 }
 
 
-def _config_to_dict(cfg: ModelConfig) -> dict:
-    d = asdict(cfg)
-    d["pool_factors"] = list(cfg.pool_factors)
-    return d
-
-
 def _config_from_dict(cls, d, path):
     """Rebuild a config dataclass from its header entry, refusing missing,
-    unknown and ill-typed fields."""
+    unknown and ill-typed fields and values the config itself refuses."""
     names = {f.name for f in fields(cls)}
     if not isinstance(d, dict) or set(d) != names:
         raise IngestError(f"{path}: checkpoint header does not hold the {cls.__name__} fields")
@@ -46,13 +40,16 @@ def _config_from_dict(cls, d, path):
             raise IngestError(f"{path}: checkpoint {cls.__name__}.{f.name} has the wrong type")
     if "pool_factors" in d:
         d = dict(d, pool_factors=tuple(d["pool_factors"]))
-    return cls(**d)
+    try:
+        return cls(**d)
+    except ConfigError as exc:
+        raise IngestError(f"{path}: checkpoint {cls.__name__} is invalid: {exc}") from None
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     header = {
         "kind": "checkpoint",
-        "model_config": _config_to_dict(ckpt.model_config),
+        "model_config": asdict(ckpt.model_config),
         "train_config": asdict(ckpt.train_config),
         "epoch": ckpt.epoch,
         "val_loss": ckpt.val_loss,
@@ -64,7 +61,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     write_container(path, header, arrays)
 
 
-def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpoint:
+def load_checkpoint(path) -> Checkpoint:
     header, arrays = read_container(path)
     if header.get("kind") != "checkpoint":
         raise IngestError(f"{path}: container is not a checkpoint")
@@ -79,11 +76,6 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
     if any(a is None or a.shape != (config.n_channels,) for a in norm):
         raise IngestError(
             f"{path}: checkpoint needs norm.mean and norm.std of length {config.n_channels}"
-        )
-    if expected_config is not None and config != expected_config:
-        raise ContractError(
-            f"checkpoint config {config} does not match the expected config "
-            f"{expected_config}; refusing to load"
         )
     params = {name[len("param."):]: arr for name, arr in arrays.items()
               if name.startswith("param.")}

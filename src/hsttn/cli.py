@@ -1,8 +1,9 @@
 """Command-line front end: synthesize data, train, predict, evaluate, plot.
 
-Exit codes: 0 success, 2 usage/configuration problems, 3 file/parse
-problems, 4 numerical failures. Log verbosity comes from the HSTTN_LOG
-environment variable (debug, info, warning, quiet).
+Exit codes: 0 success, 2 usage/configuration problems (a configuration
+too large for memory included), 3 file/parse problems, 4 numerical
+failures. Log verbosity comes from the HSTTN_LOG environment variable
+(debug, info, warning, quiet).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, fields
@@ -24,7 +26,6 @@ from .data import (
     SplitBounds,
     apply_zscore,
     csv_records,
-    default_invalid_rules,
     fit_zscore,
     load_records,
     make_windows,
@@ -163,18 +164,14 @@ def _load_and_prepare(data_path, schema_path) -> RecordSet:
         raise IngestError(f"data file not found: {data_path}")
     schema = Schema.load(schema_path)
     rs = load_records(data_path, schema)
-    return mark_invalid(rs, default_invalid_rules(schema))
+    return mark_invalid(rs)
 
 
 def cmd_synth(args) -> int:
-    if args.timestamps < 1 or args.turbines < 1:
-        raise UsageError("--timestamps and --turbines must be positive")
-    if args.channels < 2:
-        raise UsageError("--channels must be at least 2 (one feature plus the target)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     rs = synth_generate(args.turbines, args.timestamps, args.channels, args.seed,
                         noise_scale=args.noise)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_csv(rs, out / "synthetic.csv")
     rs.schema.save(out / "synthetic.schema")
     log.info("wrote %s and %s", out / "synthetic.csv", out / "synthetic.schema")
@@ -189,13 +186,12 @@ def cmd_train(args) -> int:
         cfg.out_dir = Path(args.out)
     if args.seed is not None:
         cfg.seed = args.seed
-    # full validation before any expensive work; dataset-derived dims are
-    # checked again once the data is loaded
-    cfg.train_config().validate()
-    cfg.model_config(n_turbines=1, n_channels=1).validate()
+    # both configs check themselves before the data is read; the
+    # dataset-derived dims are checked once the data is loaded
+    train_cfg = cfg.train_config()
+    cfg.model_config(n_turbines=1, n_channels=1)
     rs = _load_and_prepare(cfg.data, cfg.schema)
     model_cfg = cfg.model_config(rs.n_turbines, rs.n_channels)
-    model_cfg.validate()
     splits = SplitBounds(cfg.train_end, cfg.val_end).ranges(rs.n_timestamps)
 
     stats = fit_zscore(rs, splits["train"])
@@ -205,7 +201,7 @@ def cmd_train(args) -> int:
     val_windows = make_windows(normed, h, f, cfg.val_stride, *splits["val"])
 
     model = HSTTN(model_cfg, seed=cfg.seed)
-    best, records = train(model, train_windows, val_windows, cfg.train_config(),
+    best, records = train(model, train_windows, val_windows, train_cfg,
                           stats, schema_dict=rs.schema.to_dict())
 
     out = Path(cfg.out_dir)
@@ -287,12 +283,7 @@ def cmd_evaluate(args) -> int:
     ckpt, rs, normed, model = _restore(args.checkpoint, args.data, args.schema)
     h = ckpt.model_config.history_len
     f = ckpt.model_config.horizon_len
-    start = args.start if args.start is not None else 0
-    end = args.end if args.end is not None else rs.n_timestamps
-    try:
-        windows = make_windows(normed, h, f, args.stride, start, end)
-    except DatasetError as exc:
-        raise EvaluationError(f"empty evaluation split: {exc}") from exc
+    windows = make_windows(normed, h, f, args.stride, args.start, args.end)
     report = evaluate_model(model, windows, ckpt.norm_stats, rs.target_index,
                             megawatts=args.mw)
 
@@ -317,11 +308,14 @@ def _read_grid(path) -> dict[tuple[int, int], float]:
             if not cells:
                 continue
             try:
-                grid[(int(cells[0]), int(cells[1]))] = float(cells[2])
+                key, value = (int(cells[0]), int(cells[1])), float(cells[2])
             except (ValueError, IndexError):
                 raise IngestError(
                     f"{path}:{lineno}: expected integer turbine and step and a numeric value"
                 ) from None
+            if not math.isfinite(value):
+                raise IngestError(f"{path}:{lineno}: value {cells[2]!r} is not finite")
+            grid[key] = value
     if not grid:
         raise IngestError(f"{path}: no rows")
     return grid
@@ -422,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--start", type=int, default=None)
+    p.add_argument("--start", type=int, default=0)
     p.add_argument("--end", type=int, default=None)
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--mw", action="store_true", help="report megawatts instead of kW")
@@ -445,6 +439,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (UsageError, ConfigError, ShapeError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ import csv
 import re
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ DEFAULT_CHANNELS = (
     "Prtv", "Rspd", "Gspd", "Tnac", "Patv",
 )
 
-# optional column roles the validity rules read
+# optional column roles `mark_invalid` reads
 _ROLES = ("wind_speed", "wind_direction", "nacelle_direction")
 
 
@@ -65,11 +65,6 @@ class Schema:
     @property
     def slots_per_day(self) -> int:
         return MINUTES_PER_DAY // self.step_minutes
-
-    def channel_index(self, name: str) -> int:
-        if name not in self.channels:
-            raise ConfigError(f"unknown channel {name!r}")
-        return self.channels.index(name)
 
     @classmethod
     def default(cls) -> "Schema":
@@ -291,46 +286,25 @@ def load_records(path, schema: Schema) -> RecordSet:
                      turbine_ids=turbine_ids)
 
 
-@dataclass(frozen=True)
-class InvalidRule:
-    """Named predicate over the channel grid; True marks a cell invalid."""
+def mark_invalid(rs: RecordSet) -> RecordSet:
+    """Recording-system sanity rules over the schema's column roles: negative
+    output, zero output while the wind speed is above 2.5, and wind or nacelle
+    directions beyond 180 or 720 degrees either way. A role set to none skips
+    its rule. NaN compares False here; missing fields are already invalid."""
+    schema = rs.schema
 
-    name: str
-    channels: tuple[str, ...]
-    predicate: Callable[..., np.ndarray]
+    def column(name: str) -> np.ndarray:
+        return rs.values[:, :, schema.channels.index(name)]
 
-    def apply(self, rs: RecordSet) -> np.ndarray:
-        columns = [rs.values[:, :, rs.schema.channel_index(c)] for c in self.channels]
-        with np.errstate(invalid="ignore"):
-            flagged = self.predicate(*columns)
-        # NaN comparisons are False; missing fields are already invalid
-        return np.nan_to_num(flagged, nan=0).astype(bool)
-
-
-def default_invalid_rules(schema: Schema) -> list[InvalidRule]:
-    """Recording-system sanity rules: negative output, zero output in
-    usable wind, and off-range direction readings."""
-    rules = [InvalidRule("negative_target", (schema.target,), lambda p: p < 0)]
+    power = column(schema.target)
+    flagged = power < 0
     if schema.wind_speed is not None:
-        rules.append(InvalidRule(
-            "zero_target_in_wind", (schema.target, schema.wind_speed),
-            lambda p, w: (p <= 0) & (w > 2.5)))
+        flagged |= (power <= 0) & (column(schema.wind_speed) > 2.5)
     if schema.wind_direction is not None:
-        rules.append(InvalidRule(
-            "wind_direction_range", (schema.wind_direction,),
-            lambda d: np.abs(d) > 180.0))
+        flagged |= np.abs(column(schema.wind_direction)) > 180.0
     if schema.nacelle_direction is not None:
-        rules.append(InvalidRule(
-            "nacelle_direction_range", (schema.nacelle_direction,),
-            lambda d: np.abs(d) > 720.0))
-    return rules
-
-
-def mark_invalid(rs: RecordSet, rules: Sequence[InvalidRule]) -> RecordSet:
-    mask = rs.validity.copy()
-    for rule in rules:
-        mask &= ~rule.apply(rs)
-    return replace(rs, validity=mask)
+        flagged |= np.abs(column(schema.nacelle_direction)) > 720.0
+    return replace(rs, validity=rs.validity & ~flagged)
 
 
 @dataclass(frozen=True)
@@ -399,12 +373,15 @@ def make_windows(rs: RecordSet, history_len: int, horizon_len: int, stride: int,
                  start: int = 0, end: int | None = None) -> list[SampleWindow]:
     """Slide a (H + F)-long window over `[start, end)` with the given
     stride. Yields floor((T - H - F) / stride) + 1 windows; the i-th
-    window starts at `start + i * stride`."""
+    window starts at `start + i * stride`. Bounds outside
+    `0 <= start <= end <= T` are a `ConfigError`; a range too short for
+    one window is a `DatasetError`."""
     if stride < 1:
         raise ConfigError(f"stride must be positive, got {stride}")
     end = rs.n_timestamps if end is None else end
     if not 0 <= start <= end <= rs.n_timestamps:
-        raise DatasetError(f"window range [{start}, {end}) is outside the dataset")
+        raise ConfigError(f"window range [{start}, {end}) is not within the "
+                          f"{rs.n_timestamps} timestamps of the dataset")
     span = history_len + horizon_len
     total = end - start
     if total < span:

@@ -72,6 +72,38 @@ class ModelConfig:
     use_spatial_branch: bool = True
     use_cfb: bool = True
 
+    def __post_init__(self):
+        for name in ("n_turbines", "history_len", "horizon_len", "n_channels", "d_model",
+                     "n_heads", "layers_encoder", "layers_decoder"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("d_k", "d_v"):
+            if getattr(self, name) is not None and getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive or None, got {getattr(self, name)}")
+        if self.d_model % self.n_heads != 0:
+            raise ConfigError(
+                f"d_model={self.d_model} must be divisible by n_heads={self.n_heads}"
+            )
+        if not self.use_temporal_branch and not self.use_spatial_branch:
+            raise ConfigError("at least one of the temporal/spatial branches must be enabled")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
+        if self.history_len != self.horizon_len:
+            raise ConfigError(
+                f"history_len={self.history_len} must equal horizon_len={self.horizon_len}: "
+                "the regression head concatenates original-scale encoder and decoder outputs"
+            )
+        running = 1
+        for p in self.pool_factors:
+            if p < 1:
+                raise ConfigError(f"pooling factors must be positive, got {self.pool_factors}")
+            running *= p
+            if self.history_len % running != 0:
+                raise ConfigError(
+                    f"history_len={self.history_len} is not divisible by the cumulative "
+                    f"pooling factor {running} (factors {self.pool_factors})"
+                )
+
     @property
     def head_dim_k(self) -> int:
         return self.d_k if self.d_k is not None else self.d_model // self.n_heads
@@ -106,35 +138,6 @@ class ModelConfig:
         for p in self.pool_factors:
             lengths.append(lengths[-1] // p)
         return tuple(lengths)
-
-    def validate(self) -> None:
-        for name in ("n_turbines", "history_len", "horizon_len", "n_channels", "d_model",
-                     "n_heads", "layers_encoder", "layers_decoder"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.d_model % self.n_heads != 0:
-            raise ConfigError(
-                f"d_model={self.d_model} must be divisible by n_heads={self.n_heads}"
-            )
-        if not self.use_temporal_branch and not self.use_spatial_branch:
-            raise ConfigError("at least one of the temporal/spatial branches must be enabled")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.history_len != self.horizon_len:
-            raise ConfigError(
-                f"history_len={self.history_len} must equal horizon_len={self.horizon_len}: "
-                "the regression head concatenates original-scale encoder and decoder outputs"
-            )
-        running = 1
-        for p in self.pool_factors:
-            if p < 1:
-                raise ConfigError(f"pooling factors must be positive, got {self.pool_factors}")
-            running *= p
-            if self.history_len % running != 0:
-                raise ConfigError(
-                    f"history_len={self.history_len} is not divisible by the cumulative "
-                    f"pooling factor {running} (factors {self.pool_factors})"
-                )
 
 
 def variant_config(base: ModelConfig, name: str) -> ModelConfig:
@@ -402,7 +405,6 @@ class HSTTN:
     to (N, F, 1) power predictions."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
-        config.validate()
         self.config = cfg = config
         self.params = p = ModelParameters(RngStream(seed).child(0))
         d = cfg.d_model

@@ -4,6 +4,7 @@ selection. Fully deterministic for a fixed seed."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -24,9 +25,9 @@ class TrainConfig:
     patience: int = 5
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.initial_lr <= 0:
-            raise ConfigError(f"initial_lr must be positive, got {self.initial_lr}")
+    def __post_init__(self):
+        if not 0 < self.initial_lr < math.inf:
+            raise ConfigError(f"initial_lr must be positive and finite, got {self.initial_lr}")
         if not 0 < self.lr_decay <= 1:
             raise ConfigError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.batch_size < 1:
@@ -151,8 +152,8 @@ def train(model: HSTTN, train_windows: Sequence[SampleWindow],
           ) -> tuple[Checkpoint, list[EpochRecord]]:
     """Epoch loop over seeded shuffles of full-farm windows. Each epoch
     ends with a validation pass; the best snapshot so far is kept and
-    returned once early stopping or the epoch budget ends the run."""
-    cfg.validate()
+    returned once early stopping or the epoch budget ends the run. A
+    non-finite training or validation loss stops the run (`TrainingError`)."""
     train_windows = drop_fully_invalid(train_windows)
     val_windows = drop_fully_invalid(val_windows)
     if not train_windows:
@@ -176,7 +177,13 @@ def train(model: HSTTN, train_windows: Sequence[SampleWindow],
             schema_dict=schema_dict or {},
         )
 
-    best_val = validation_loss(model, val_windows)
+    def checked_validation(epoch: int) -> float:
+        val = validation_loss(model, val_windows)
+        if not math.isfinite(val):
+            raise TrainingError(f"validation loss is {val} at epoch {epoch}")
+        return val
+
+    best_val = checked_validation(0)
     best = snapshot(0, best_val)
     history = [best_val]
     records: list[EpochRecord] = []
@@ -205,7 +212,7 @@ def train(model: HSTTN, train_windows: Sequence[SampleWindow],
             epoch_loss += float(loss.data)
             n_batches += 1
 
-        val = validation_loss(model, val_windows)
+        val = checked_validation(epoch + 1)
         history.append(val)
         records.append(EpochRecord(epoch=epoch + 1, train_loss=epoch_loss / n_batches,
                                    val_loss=val, lr=lr))

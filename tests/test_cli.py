@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from hsttn.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from hsttn.cli import RunConfig, main
-from hsttn.data import Schema, apply_zscore, default_invalid_rules, load_records, \
-    make_windows, mark_invalid
+from hsttn.data import Schema, apply_zscore, load_records, make_windows, mark_invalid
 from hsttn.evaluation import evaluate_model, predict_window
-from hsttn.model import ModelConfig
+from hsttn.model import ModelConfig, ModelParameters
 from hsttn.training import TrainConfig
 
 RUN_CONFIG = """\
@@ -123,6 +122,35 @@ class TestTrain:
         assert run.model_config(n_turbines=1, n_channels=1).dropout_rate == 0.25
         assert run.train_config().initial_lr == 0.5
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_is_usage_error(self, workspace, tmp_path, capsys, lr):
+        cfg = tmp_path / "lr.cfg"
+        cfg.write_text((workspace / "run.cfg").read_text().replace("lr = 0.002", f"lr = {lr}"))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "initial_lr" in capsys.readouterr().err
+
+    def test_non_finite_validation_loss_is_numeric_error(self, workspace, tmp_path, capsys):
+        # one batch of one epoch, so the huge step is first seen by validation
+        text = (workspace / "run.cfg").read_text()
+        for old, new in (("lr = 0.002", "lr = 1e300"), ("batch_size = 4", "batch_size = 64"),
+                         ("max_epochs = 2", "max_epochs = 1")):
+            text = text.replace(old, new)
+        (tmp_path / "run.cfg").write_text(text)
+        for name in ("synthetic.csv", "synthetic.schema"):
+            (tmp_path / name).write_bytes((workspace / name).read_bytes())
+        assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 4
+        assert "validation loss is nan at epoch 1" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
+    def test_memory_error_is_usage_error(self, workspace, tmp_path, capsys, monkeypatch):
+        def allocate(*args):
+            raise MemoryError("Unable to allocate 298. GiB for an array")
+
+        monkeypatch.setattr(ModelParameters, "glorot", allocate)
+        assert main(["train", "--config", str(workspace / "run.cfg"),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert "error: out of memory: Unable to allocate 298. GiB" in capsys.readouterr().err
+
     def test_missing_data_is_io_error(self, workspace, tmp_path):
         bad = (workspace / "run.cfg").read_text().replace("synthetic.csv", "missing.csv")
         cfg = tmp_path / "bad.cfg"
@@ -207,8 +235,7 @@ class TestPredict:
         # same window through the library path must match bit-exactly
         ckpt = load_checkpoint(ckpt_path)
         schema = Schema.load(workspace / "synthetic.schema")
-        rs = mark_invalid(load_records(workspace / "synthetic.csv", schema),
-                          default_invalid_rules(schema))
+        rs = mark_invalid(load_records(workspace / "synthetic.csv", schema))
         normed = apply_zscore(rs, ckpt.norm_stats)
         window = make_windows(normed, 6, 6, 1, start=134, end=146)[0]
         model = model_from_checkpoint(ckpt)
@@ -238,8 +265,7 @@ class TestEvaluate:
 
         ckpt = load_checkpoint(ckpt_path)
         schema = Schema.load(workspace / "synthetic.schema")
-        rs = mark_invalid(load_records(workspace / "synthetic.csv", schema),
-                          default_invalid_rules(schema))
+        rs = mark_invalid(load_records(workspace / "synthetic.csv", schema))
         normed = apply_zscore(rs, ckpt.norm_stats)
         windows = make_windows(normed, 6, 6, 6, start=130)
         model = model_from_checkpoint(ckpt)
@@ -265,6 +291,16 @@ class TestEvaluate:
                      "--schema", str(workspace / "synthetic.schema"),
                      "--start", "155", "--out", str(tmp_path)])
         assert code == 4
+
+    @pytest.mark.parametrize("bounds", [["--start", "-5"], ["--end", "9999"],
+                                        ["--start", "100", "--end", "50"]])
+    def test_bounds_outside_data_are_usage_errors(self, workspace, tmp_path, bounds):
+        code = main(["evaluate", "--checkpoint", str(workspace / "run_out" / "checkpoint.bin"),
+                     "--data", str(workspace / "synthetic.csv"),
+                     "--schema", str(workspace / "synthetic.schema"),
+                     *bounds, "--out", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "report.kv").exists()
 
 
 class TestNonFinite:
@@ -425,7 +461,8 @@ class TestPlot:
         assert main(["plot", "--forecast", str(forecast), "--truth", str(truth),
                      "--turbine", "9", "--out", str(tmp_path / "x.svg")]) == 2
 
-    @pytest.mark.parametrize("row", ["x,0,1.0", "0,1.5,1.0", "0,1", "0,1,high"])
+    @pytest.mark.parametrize("row", ["x,0,1.0", "0,1.5,1.0", "0,1", "0,1,high",
+                                     "0,99,nan", "0,99,-inf"])
     def test_malformed_row_is_io_error(self, forecast_files, tmp_path, row):
         forecast, truth = forecast_files
         bad = tmp_path / "bad.csv"

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsttn.data import (
-    InvalidRule,
     NormStats,
     RecordSet,
     Schema,
     SplitBounds,
     apply_zscore,
-    default_invalid_rules,
     drop_fully_invalid,
     fit_zscore,
     load_records,
@@ -187,45 +185,56 @@ class TestLoadRecords:
 
 
 class TestMarkInvalid:
-    def make_rs(self, patv, wspd=5.0, wdir=0.0):
-        values = np.zeros((1, len(patv), 3))
+    CHANNELS = ("Wspd", "Wdir", "Ndir", "Patv")
+
+    def make_rs(self, patv, wspd=5.0, wdir=0.0, ndir=0.0, **roles):
+        values = np.zeros((1, len(patv), 4))
         values[0, :, 0] = wspd
         values[0, :, 1] = wdir
-        values[0, :, 2] = patv
-        return RecordSet(schema=small_schema(), values=values,
+        values[0, :, 2] = ndir
+        values[0, :, 3] = patv
+        return RecordSet(schema=Schema(channels=self.CHANNELS, **roles), values=values,
                          validity=np.ones((1, len(patv)), dtype=bool), turbine_ids=(1,))
 
-    def test_empty_rules_keep_mask(self):
-        rs = self.make_rs([1.0, 2.0])
-        assert np.array_equal(mark_invalid(rs, []).validity, rs.validity)
+    def test_in_range_readings_keep_mask(self):
+        rs = self.make_rs([1.0, 2.0, 3.0], wspd=30.0, wdir=-180.0, ndir=720.0)
+        rs.validity[0, 1] = False
+        assert np.array_equal(mark_invalid(rs).validity, [[True, False, True]])
 
     def test_negative_target_flagged(self):
         rs = self.make_rs([-5.0, 3.0])
-        out = mark_invalid(rs, default_invalid_rules(rs.schema))
+        out = mark_invalid(rs)
         assert not out.validity[0, 0]
         assert out.validity[0, 1]
 
     def test_zero_output_in_wind_flagged(self):
         rs = self.make_rs([0.0, 10.0], wspd=6.0)
-        out = mark_invalid(rs, default_invalid_rules(rs.schema))
+        out = mark_invalid(rs)
         assert not out.validity[0, 0]
         assert out.validity[0, 1]
 
     def test_direction_out_of_range_flagged(self):
         rs = self.make_rs([10.0], wdir=200.0)
-        out = mark_invalid(rs, default_invalid_rules(rs.schema))
+        out = mark_invalid(rs)
         assert not out.validity[0, 0]
 
-    def test_tautology_keeps_all_valid(self):
-        rs = self.make_rs([1.0, 2.0])
-        rule = InvalidRule("never", ("Patv",), lambda p: np.zeros_like(p, dtype=bool))
-        assert mark_invalid(rs, [rule]).validity.all()
+    def test_nacelle_direction_out_of_range_flagged(self):
+        rs = self.make_rs([10.0, 10.0, 10.0])
+        rs.values[0, :, 2] = [-720.0, -721.0, 800.0]
+        assert np.array_equal(mark_invalid(rs).validity, [[True, False, False]])
+
+    @pytest.mark.parametrize("role, readings", [
+        ("wind_speed", dict(patv=[0.0], wspd=6.0)),
+        ("wind_direction", dict(patv=[10.0], wdir=200.0)),
+        ("nacelle_direction", dict(patv=[10.0], ndir=800.0)),
+    ], ids=["wind_speed", "wind_direction", "nacelle_direction"])
+    def test_role_none_disables_its_rule(self, role, readings):
+        assert not mark_invalid(self.make_rs(**readings)).validity.any()
+        assert mark_invalid(self.make_rs(**readings, **{role: None})).validity.all()
 
     def test_rule_with_unknown_channel(self):
-        rs = self.make_rs([1.0])
-        rule = InvalidRule("bad", ("Nope",), lambda p: p < 0)
-        with pytest.raises(ConfigError):
-            mark_invalid(rs, [rule])
+        with pytest.raises(ConfigError, match="wind_speed"):
+            Schema(channels=self.CHANNELS, wind_speed="Nope")
 
 
 class TestZscore:

@@ -53,19 +53,19 @@ def attend_along(m: Tensor, weights: AttentionWeights, n_heads: int, axis: int) 
 class TestConfig:
     def test_divisibility_enforced(self):
         with pytest.raises(ConfigError):
-            tiny_config(history_len=8, horizon_len=8, pool_factors=(3,)).validate()
+            tiny_config(history_len=8, horizon_len=8, pool_factors=(3,))
 
     def test_heads_must_divide_width(self):
         with pytest.raises(ConfigError):
-            tiny_config(d_model=5, n_heads=2).validate()
+            tiny_config(d_model=5, n_heads=2)
 
     def test_some_branch_required(self):
         with pytest.raises(ConfigError):
-            tiny_config(use_temporal_branch=False, use_spatial_branch=False).validate()
+            tiny_config(use_temporal_branch=False, use_spatial_branch=False)
 
     def test_history_equals_horizon(self):
         with pytest.raises(ConfigError):
-            tiny_config(history_len=6, horizon_len=12, pool_factors=()).validate()
+            tiny_config(history_len=6, horizon_len=12, pool_factors=())
 
     def test_scale_lengths(self):
         cfg = tiny_config(history_len=12, horizon_len=12, pool_factors=(3, 2))

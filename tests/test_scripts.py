@@ -14,3 +14,10 @@ def test_script_imports_and_parses_help(script):
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert "usage:" in result.stdout
+
+
+def test_every_exported_name_resolves():
+    import hsttn
+    missing = [name for name in hsttn.__all__ if not hasattr(hsttn, name)]
+    assert not missing
+    assert len(set(hsttn.__all__)) == len(hsttn.__all__)

@@ -220,8 +220,8 @@ class TestTrainLoop:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            TrainConfig(initial_lr=-1.0).validate()
+            TrainConfig(initial_lr=-1.0)
         with pytest.raises(ConfigError):
-            TrainConfig(lr_decay=0.0).validate()
+            TrainConfig(lr_decay=0.0)
         with pytest.raises(ConfigError):
-            TrainConfig(patience=0).validate()
+            TrainConfig(patience=0)
