@@ -3,7 +3,8 @@
 Only the operations the forecasting model needs are implemented: batched
 matrix products, row softmax, row gathers, ReLU, channel-wise 1x1
 convolution, temporal max-pooling, stride-expanding transposed
-convolution, concatenation, dropout, and a few elementwise helpers.
+convolution, concatenation, dropout, broadcasting views, and a few
+elementwise helpers.
 Forward values live in numpy arrays; gradients are accumulated on
 `Tensor.grad` by replaying a `GradTape` in reverse.
 
@@ -35,6 +36,7 @@ __all__ = [
     "take_rows",
     "permute",
     "reshape",
+    "broadcast_to",
     "relu",
     "softmax",
     "softmax_rows",
@@ -305,6 +307,22 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
     out = Tensor(a.data.reshape(shape), a.requires_grad)
     return _record(out, (a,), lambda g: (g.reshape(a.shape),))
+
+
+def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
+    """`a` repeated over new leading axes and along axes of length 1, as a
+    read-only view: no arithmetic, so every value, signed zeros included,
+    is kept bitwise. The gradient sums over the repeated axes. A `shape`
+    equal to `a.shape` returns `a` itself and records nothing."""
+    shape = tuple(shape)
+    if shape == a.shape:
+        return a
+    try:
+        data = np.broadcast_to(a.data, shape)
+    except ValueError:
+        raise ShapeError(f"cannot broadcast {a.shape} to {shape}") from None
+    out = Tensor(data, a.requires_grad)
+    return _record(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
 
 
 def relu(a: Tensor) -> Tensor:

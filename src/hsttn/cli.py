@@ -18,6 +18,8 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
+import numpy as np
+
 from . import checkpoint as ckpt_io
 from .data import (
     RecordSet,
@@ -436,7 +438,10 @@ def main(argv=None) -> int:
     try:
         _setup_logging()
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        # a non-finite loss, gradient or prediction ends in its own `error:`
+        # line, so numpy's floating-point warnings would only precede it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.fn(args)
     except (UsageError, ConfigError, ShapeError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,6 +24,7 @@ from .autodiff import (
     RngStream,
     Tensor,
     add,
+    broadcast_to,
     concat,
     dropout,
     matmul,
@@ -304,10 +305,10 @@ def attention(
 
 
 def _fuse_maps(spa_map: Tensor, tem_map: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Contextual fusion block: concatenate the two turbine-major (N, L, d)
+    """Contextual fusion block: concatenate the two turbine-major (..., N, L, d)
     branch maps along channels (spatial block first) and squeeze them back
     to d channels with a 1x1 conv and ReLU."""
-    return pointwise_conv(concat([spa_map, tem_map], axis=2), w, b, activation=True)
+    return pointwise_conv(concat([spa_map, tem_map], axis=-1), w, b, activation=True)
 
 
 # The branches that update each state map: the fused model keeps one map
@@ -317,10 +318,13 @@ _BRANCHES = {"st": ("tem", "spa"), "tem": ("tem",), "spa": ("spa",)}
 
 
 def _view(branch: str, m: Tensor) -> Tensor:
-    """The sequences `branch` attends along: a turbine-major (N, L, d) map
-    is per-turbine time for `tem` and, swapped to (L, N, d), per-timestep
-    turbines for `spa`. The swap is its own inverse."""
-    return permute(m, (1, 0, 2)) if branch == "spa" else m
+    """The sequences `branch` attends along: a turbine-major (..., N, L, d)
+    map is per-turbine time for `tem` and, swapped to (..., L, N, d),
+    per-timestep turbines for `spa`. The swap is its own inverse."""
+    if branch != "spa":
+        return m
+    n = m.ndim
+    return permute(m, (*range(n - 3), n - 2, n - 3, n - 1))
 
 
 def _residual(m: Tensor, maps: list[Tensor], fuse: tuple[Tensor, Tensor] | None) -> Tensor:
@@ -401,8 +405,9 @@ class DecoderLayer:
 
 
 class HSTTN:
-    """The assembled forecaster. `forward` maps a (N, H, C) history grid
-    to (N, F, 1) power predictions."""
+    """The assembled forecaster. `forward` maps (..., N, H, C) history
+    grids to (..., N, F, 1) power predictions; leading axes hold
+    independent windows, so one pass serves a whole batch."""
 
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = cfg = config
@@ -427,7 +432,8 @@ class HSTTN:
 
     def _embed(self, features: Tensor, positions: np.ndarray) -> Tensor:
         """Attach time positions and turbine identity to embedded features:
-        (N, L, d) from the history, or one (d,) vector for every future step."""
+        (..., N, L, d) from the history, or one (d,) vector for every future
+        step."""
         cfg = self.config
         f = add(features, Tensor(self.pos_table.data[positions]))
         turb = reshape(self.turbine_table, (cfg.n_turbines, 1, cfg.d_model))
@@ -442,10 +448,14 @@ class HSTTN:
 
     def forward(self, x: Tensor, training: bool = False, rng: RngStream | None = None,
                 trace: ScaleTrace | None = None) -> Tensor:
+        """(..., N, H, C) histories to (..., N, F, 1) predictions. Each index
+        of the leading axes is one window, computed bitwise as if alone;
+        dropout draws the windows' masks in order, as consecutive
+        single-window forwards would."""
         cfg = self.config
-        if x.shape != (cfg.n_turbines, cfg.history_len, cfg.n_channels):
+        if x.shape[-3:] != (cfg.n_turbines, cfg.history_len, cfg.n_channels):
             raise ShapeError(
-                f"expected history of shape ({cfg.n_turbines}, {cfg.history_len}, "
+                f"expected history of shape (..., {cfg.n_turbines}, {cfg.history_len}, "
                 f"{cfg.n_channels}), got {x.shape}"
             )
         if trace is None:
@@ -466,9 +476,14 @@ class HSTTN:
                 state = {k: maxpool1d(m, cfg.pool_factors[s]) for k, m in state.items()}
 
         # pooled once per state map: one shared pooled tensor would sum the
-        # two unfused maps' gradients in another order, changing last bits
+        # two unfused maps' gradients in another order, changing last bits.
+        # The pooled entry is the same for every window; it is broadcast to
+        # the windows' leading axes as a view, without arithmetic.
         entry = self._decoder_entry()
-        dstate = {k: maxpool1d(entry, math.prod(cfg.pool_factors)) for k in cfg.branch_names}
+        dstate = {}
+        for k in cfg.branch_names:
+            pooled = maxpool1d(entry, math.prod(cfg.pool_factors))
+            dstate[k] = broadcast_to(pooled, x.shape[:-3] + pooled.shape)
 
         for s in range(cfg.n_scales - 1, -1, -1):
             trace.decoder_lengths.append(next(iter(dstate.values())).shape[-2])
@@ -478,7 +493,7 @@ class HSTTN:
                 merged = {}
                 for key, m in dstate.items():
                     if cfg.use_skip:
-                        m = concat([m, skips[s][key]], axis=2)
+                        m = concat([m, skips[s][key]], axis=-1)
                     merged[key] = upconv1d(m, *self.up[s - 1][key])
                 dstate = merged
 
@@ -486,7 +501,7 @@ class HSTTN:
         # side; two unfused maps: the temporal and spatial decoder outputs
         parts = (list(dstate.values()) if len(dstate) == 2
                  else [*skips[0].values(), *dstate.values()])
-        head_in = concat(parts, axis=2)
+        head_in = concat(parts, axis=-1)
         return self.regress(head_in, training=training, rng=rng)
 
     def regress(self, features: Tensor, training: bool = False,
@@ -500,7 +515,8 @@ class HSTTN:
         return add(matmul(h, self.head_w), self.head_b)
 
     def predict(self, history: np.ndarray) -> np.ndarray:
-        """Inference without gradient recording; returns (N, F, 1)."""
+        """Inference without gradient recording: (..., N, H, C) histories
+        to (..., N, F, 1) predictions."""
         return self.forward(Tensor(history)).data
 
 

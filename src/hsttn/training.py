@@ -39,23 +39,32 @@ class TrainConfig:
 
 
 def mse_loss(y_hat: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean squared error over valid positions only.
+    """Mean squared error over valid positions only, averaged over windows.
 
-    `y` is (N, F, 1) targets, `mask` is (N, F) validity. Masked positions
-    contribute nothing, whatever their stored values."""
+    `y` is (..., N, F, 1) targets and `mask` (..., N, F) validity; every
+    index of the leading axes is one window. Each window's squared errors
+    are summed over its valid positions and divided by its own valid count,
+    and the loss is the mean of those window losses. Masked positions
+    contribute nothing, whatever their stored values. A window with no
+    valid position is a `TrainingError`.
+
+    The sums over a batch run in a fixed order, so reruns are bitwise
+    equal; the loss and its gradients can differ in the last bits from
+    the mean of the same windows' losses taken one at a time."""
     y = np.asarray(y, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if y_hat.shape != y.shape:
         raise TrainingError(f"prediction shape {y_hat.shape} != target shape {y.shape}")
-    if mask.shape != y.shape[:-1]:
-        raise TrainingError(f"mask shape {mask.shape} does not match targets {y.shape}")
-    m = int(mask.sum())
-    if m == 0:
+    if y.ndim < 3 or mask.shape != y.shape[:-1]:
+        raise TrainingError(f"targets {y.shape} and mask {mask.shape} must be "
+                            "(..., N, F, 1) and (..., N, F)")
+    counts = mask.sum(axis=(-2, -1))
+    if (counts == 0).any():
         raise TrainingError("loss over a window with zero valid positions "
                             "(it should have been dropped upstream)")
+    weights = mask / (counts[..., None, None] * counts.size)
     diff = add(y_hat, scale(Tensor(y), -1.0))
-    masked_sq = mul(mul(diff, diff), Tensor(mask[..., None].astype(np.float64)))
-    return scale(sum_all(masked_sq), 1.0 / m)
+    return sum_all(mul(mul(diff, diff), Tensor(weights[..., None])))
 
 
 # Adam's moment decay rates and the epsilon under its square root
@@ -135,14 +144,28 @@ class Checkpoint:
     schema_dict: dict = field(default_factory=dict)
 
 
-def validation_loss(model: HSTTN, windows: Sequence[SampleWindow]) -> float:
-    """Mean masked MSE over windows, dropout off, no gradient recording."""
+def _stack_windows(windows: Sequence[SampleWindow]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Histories, targets and validity of `windows` stacked along a new
+    leading window axis: (B, N, H, C), (B, N, F, 1) and (B, N, F)."""
+    return (np.stack([w.history for w in windows]),
+            np.stack([w.future_target for w in windows]),
+            np.stack([w.future_validity for w in windows]))
+
+
+def validation_loss(model: HSTTN, windows: Sequence[SampleWindow],
+                    batch_size: int = TrainConfig.batch_size) -> float:
+    """Mean masked MSE over windows: the mean of each window's `mse_loss`,
+    up to rounding. Dropout is off and no gradient is recorded. Windows go
+    through the model `batch_size` at a time, one forward per chunk."""
     if not windows:
         raise DatasetError("validation loss over an empty window set")
     total = 0.0
-    for w in windows:
-        y_hat = model.forward(Tensor(w.history))
-        total += float(mse_loss(y_hat, w.future_target, w.future_validity).data)
+    for lo in range(0, len(windows), batch_size):
+        chunk = windows[lo:lo + batch_size]
+        x, target, validity = _stack_windows(chunk)
+        y_hat = model.forward(Tensor(x))
+        total += float(mse_loss(y_hat, target, validity).data) * len(chunk)
     return total / len(windows)
 
 
@@ -150,10 +173,12 @@ def train(model: HSTTN, train_windows: Sequence[SampleWindow],
           val_windows: Sequence[SampleWindow], cfg: TrainConfig,
           norm_stats: NormStats, schema_dict: dict | None = None,
           ) -> tuple[Checkpoint, list[EpochRecord]]:
-    """Epoch loop over seeded shuffles of full-farm windows. Each epoch
-    ends with a validation pass; the best snapshot so far is kept and
-    returned once early stopping or the epoch budget ends the run. A
-    non-finite training or validation loss stops the run (`TrainingError`)."""
+    """Epoch loop over seeded shuffles of full-farm windows. Each batch is
+    stacked along a leading window axis and takes one forward and one
+    backward pass. Each epoch ends with a validation pass; the best
+    snapshot so far is kept and returned once early stopping or the epoch
+    budget ends the run. A non-finite training or validation loss stops
+    the run (`TrainingError`)."""
     train_windows = drop_fully_invalid(train_windows)
     val_windows = drop_fully_invalid(val_windows)
     if not train_windows:
@@ -178,7 +203,7 @@ def train(model: HSTTN, train_windows: Sequence[SampleWindow],
         )
 
     def checked_validation(epoch: int) -> float:
-        val = validation_loss(model, val_windows)
+        val = validation_loss(model, val_windows, cfg.batch_size)
         if not math.isfinite(val):
             raise TrainingError(f"validation loss is {val} at epoch {epoch}")
         return val
@@ -194,15 +219,12 @@ def train(model: HSTTN, train_windows: Sequence[SampleWindow],
         epoch_loss = 0.0
         n_batches = 0
         for lo in range(0, len(order), cfg.batch_size):
-            batch = [train_windows[i] for i in order[lo:lo + cfg.batch_size]]
+            x, target, validity = _stack_windows(
+                [train_windows[i] for i in order[lo:lo + cfg.batch_size]])
             model.params.zero_grad()
             with GradTape() as tape:
-                loss = None
-                for w in batch:
-                    y_hat = model.forward(Tensor(w.history), training=True, rng=dropout_rng)
-                    wl = mse_loss(y_hat, w.future_target, w.future_validity)
-                    loss = wl if loss is None else add(loss, wl)
-                loss = scale(loss, 1.0 / len(batch))
+                y_hat = model.forward(Tensor(x), training=True, rng=dropout_rng)
+                loss = mse_loss(y_hat, target, validity)
                 if not np.isfinite(loss.data):
                     raise TrainingError(
                         f"training loss diverged at epoch {epoch}, batch {n_batches}"

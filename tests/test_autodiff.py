@@ -9,6 +9,7 @@ from hsttn.autodiff import (
     RngStream,
     Tensor,
     add,
+    broadcast_to,
     backward,
     concat,
     dropout,
@@ -128,6 +129,35 @@ class TestTakeRows:
     def test_order_must_be_a_permutation(self, order):
         with pytest.raises(ContractError, match="permutation"):
             take_rows(Tensor(np.ones((3, 2))), np.array(order))
+
+
+class TestBroadcastTo:
+    def test_values_are_repeated_bitwise(self):
+        a = np.array([[-0.0], [1.5]])
+        out = broadcast_to(Tensor(a), (3, 2, 4)).data
+        assert out.shape == (3, 2, 4)
+        assert np.array_equal(out, np.broadcast_to(a, (3, 2, 4)))
+        assert np.signbit(out[:, 0]).all()
+
+    def test_same_shape_records_nothing(self):
+        a = leaf(np.ones((2, 3)))
+        with GradTape() as tape:
+            out = broadcast_to(a, (2, 3))
+        assert out is a
+        assert tape.nodes == []
+
+    def test_gradient_sums_the_repeats(self):
+        a = leaf([1.0, 2.0])
+        weights = Tensor(np.arange(6.0).reshape(3, 2))
+        with GradTape() as tape:
+            loss = sum_all(mul(broadcast_to(a, (3, 2)), weights))
+        backward(loss, tape)
+        assert np.array_equal(a.grad, [6.0, 9.0])
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 4), (3, 2, 1)])
+    def test_incompatible_shape(self, shape):
+        with pytest.raises(ShapeError, match="cannot broadcast"):
+            broadcast_to(Tensor(np.ones((2, 3))), shape)
 
 
 class TestRelu:
@@ -363,6 +393,17 @@ class TestGradCheck:
             report = grad_check(lambda x: sum_all(mul(take_rows(x, order), proj)),
                                 Tensor(rng.normal(size=lead + (rows, width))),
                                 eps=1e-5, tol=1e-4)
+            assert report.passed, report.max_rel_error
+
+    def test_broadcast_to_100_instances(self):
+        rng = np.random.default_rng(12)
+        for _ in range(100):
+            shape = tuple(int(n) for n in rng.integers(1, 4, size=rng.integers(1, 4)))
+            lead = tuple(int(n) for n in rng.integers(1, 4, size=rng.integers(0, 3)))
+            target = lead + tuple(int(rng.integers(1, 4)) if n == 1 else n for n in shape)
+            proj = Tensor(rng.normal(size=target))
+            report = grad_check(lambda x: sum_all(mul(broadcast_to(x, target), proj)),
+                                Tensor(rng.normal(size=shape)), eps=1e-5, tol=1e-4)
             assert report.passed, report.max_rel_error
 
     def test_softmax_100_instances(self):

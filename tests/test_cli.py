@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import warnings
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -129,8 +130,10 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "initial_lr" in capsys.readouterr().err
 
-    def test_non_finite_validation_loss_is_numeric_error(self, workspace, tmp_path, capsys):
-        # one batch of one epoch, so the huge step is first seen by validation
+    @staticmethod
+    def diverging_run(workspace, tmp_path):
+        """A run whose one huge step is first seen by validation: one batch
+        of one epoch at lr = 1e300."""
         text = (workspace / "run.cfg").read_text()
         for old, new in (("lr = 0.002", "lr = 1e300"), ("batch_size = 4", "batch_size = 64"),
                          ("max_epochs = 2", "max_epochs = 1")):
@@ -138,9 +141,22 @@ class TestTrain:
         (tmp_path / "run.cfg").write_text(text)
         for name in ("synthetic.csv", "synthetic.schema"):
             (tmp_path / name).write_bytes((workspace / name).read_bytes())
-        assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 4
+        return tmp_path / "run.cfg"
+
+    def test_non_finite_validation_loss_is_numeric_error(self, workspace, tmp_path, capsys):
+        assert main(["train", "--config", str(self.diverging_run(workspace, tmp_path))]) == 4
         assert "validation loss is nan at epoch 1" in capsys.readouterr().err
         assert not (tmp_path / "run_out").exists()
+
+    def test_numeric_error_prints_no_numpy_warning(self, workspace, tmp_path, capsys):
+        cfg = self.diverging_run(workspace, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", str(cfg)]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "error: validation loss is nan at epoch 1"]
+        # library callers keep numpy's own floating-point settings
+        assert np.geterr()["over"] == "warn"
 
     def test_memory_error_is_usage_error(self, workspace, tmp_path, capsys, monkeypatch):
         def allocate(*args):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hsttn.autodiff import RngStream, Tensor, permute, pointwise_conv
+from hsttn.autodiff import GradTape, RngStream, Tensor, backward, permute, pointwise_conv
 from hsttn.errors import ConfigError, ContractError, ShapeError
 from hsttn.model import (
     HSTTN,
@@ -17,6 +17,7 @@ from hsttn.model import (
     make_variant,
     variant_config,
 )
+from hsttn.training import mse_loss
 
 
 def tiny_config(**kw) -> ModelConfig:
@@ -633,6 +634,74 @@ class TestEquivariance:
         arrays["turbine_table"] = arrays["turbine_table"][perm]
         permuted.params.load_arrays(arrays)
         assert np.array_equal(permuted.predict(x[perm]), model.predict(x)[perm])
+
+
+DESK = ModelConfig(n_turbines=4, history_len=24, horizon_len=24, n_channels=5, d_model=8,
+                   n_heads=2, pool_factors=(3, 2), dropout_rate=0.2)
+
+
+def window_batch(seed: int) -> np.ndarray:
+    """Four desk-scale histories, (4, N, H, C). The second holds signed
+    zeros, whose bit patterns the canonical key order tells apart from +0.0."""
+    x = np.random.default_rng(seed).normal(size=(4, 4, 24, 5))
+    x[1, :, ::3, 0] = -0.0
+    x[1, 2] = -0.0
+    return x
+
+
+class TestWindowBatch:
+    """A leading window axis computes every window as if it were alone."""
+
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    def test_batch_equals_single_windows_bitwise(self, name):
+        model = HSTTN(variant_config(DESK, name), seed=40)
+        x = window_batch(40)
+        assert np.array_equal(model.predict(x), np.stack([model.predict(w) for w in x]))
+
+    @pytest.mark.parametrize("name", VARIANT_NAMES)
+    def test_training_mode_dropout_is_bitwise(self, name):
+        model = HSTTN(variant_config(DESK, name), seed=41)
+        x = window_batch(41)
+        batch_rng, window_rng = RngStream(6), RngStream(6)
+        batched = model.forward(Tensor(x), training=True, rng=batch_rng).data
+        singles = [model.forward(Tensor(w), training=True, rng=window_rng).data for w in x]
+        assert np.array_equal(batched, np.stack(singles))
+        assert not np.array_equal(batched, model.predict(x))
+        # both streams have drawn the same numbers
+        assert np.array_equal(batch_rng.uniform(3), window_rng.uniform(3))
+
+    def test_two_leading_axes(self):
+        model = HSTTN(DESK, seed=42)
+        x = window_batch(42)
+        assert np.array_equal(model.predict(x.reshape((2, 2) + x.shape[1:])),
+                              model.predict(x).reshape(2, 2, 4, 24, 1))
+
+    def test_trace_holds_every_window(self):
+        model = HSTTN(DESK, seed=43)
+        x = window_batch(43)
+        batch_trace, window_trace = ScaleTrace(collect_probs=True), ScaleTrace(collect_probs=True)
+        model.forward(Tensor(x), trace=batch_trace)
+        model.forward(Tensor(x[3]), trace=window_trace)
+        assert batch_trace.encoder_lengths == window_trace.encoder_lengths
+        for batched, single in zip(batch_trace.attention_probs, window_trace.attention_probs):
+            assert np.array_equal(batched[3], single)
+
+    def test_four_window_step_records_one_tape(self):
+        model = HSTTN(DESK, seed=44)
+        x = window_batch(44)
+        y = np.zeros(x.shape[:2] + (24, 1))
+        with GradTape() as tape:
+            loss = mse_loss(model.forward(Tensor(x), training=True, rng=RngStream(0)), y,
+                            np.ones(y.shape[:-1], dtype=bool))
+        # one window records about 530 nodes, four windows one after another 2,120
+        assert len(tape.nodes) <= 600
+        backward(loss, tape)
+        assert all(t.grad is not None for t in model.params.trainable().values())
+
+    @pytest.mark.parametrize("shape", [(4, 24, 6), (3, 24, 5), (2, 4, 12, 5), (24, 5)])
+    def test_trailing_shape_checked(self, shape):
+        with pytest.raises(ShapeError):
+            HSTTN(DESK, seed=45).forward(Tensor(np.ones(shape)))
 
 
 def attn_names(prefix):

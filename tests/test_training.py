@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsttn.autodiff import GradTape, Tensor, backward
+from hsttn.autodiff import GradTape, Tensor, add, backward, scale
 from hsttn.data import apply_zscore, fit_zscore, make_windows, synth_generate
 from hsttn.errors import ConfigError, DatasetError, TrainingError
 from hsttn.model import HSTTN, ModelConfig
@@ -54,6 +54,41 @@ class TestMseLoss:
         with pytest.raises(TrainingError):
             mse_loss(Tensor(np.ones((1, 2, 1))), np.ones((1, 2, 1)),
                      np.zeros((1, 2), dtype=bool))
+
+    def test_batch_is_mean_of_window_losses(self):
+        rng = np.random.default_rng(3)
+        y_hat = rng.normal(size=(5, 3, 4, 1))
+        y = rng.normal(size=(5, 3, 4, 1))
+        mask = rng.random((5, 3, 4)) > 0.5
+        mask[:, 0, 0] = True
+        mask[2] = True
+        batched = mse_loss(Tensor(y_hat), y, mask).data.item()
+        windows = [mse_loss(Tensor(y_hat[i]), y[i], mask[i]).data.item() for i in range(5)]
+        assert batched == pytest.approx(np.mean(windows), rel=1e-12, abs=0.0)
+
+    def test_batch_gradient_closed_form(self):
+        rng = np.random.default_rng(4)
+        y_hat = leaf(rng.normal(size=(3, 2, 4, 1)))
+        y = rng.normal(size=(3, 2, 4, 1))
+        mask = rng.random((3, 2, 4)) > 0.3
+        mask[:, 0, 0] = True
+        with GradTape() as tape:
+            loss = mse_loss(y_hat, y, mask)
+        backward(loss, tape)
+        counts = mask.sum(axis=(1, 2))[:, None, None, None]
+        expected = 2.0 * (y_hat.data - y) * mask[..., None] / (counts * 3)
+        assert np.allclose(y_hat.grad, expected, rtol=1e-12, atol=0.0)
+
+    def test_batch_with_an_all_masked_window_rejected(self):
+        mask = np.ones((3, 2, 4), dtype=bool)
+        mask[1] = False
+        with pytest.raises(TrainingError, match="zero valid positions"):
+            mse_loss(Tensor(np.ones((3, 2, 4, 1))), np.zeros((3, 2, 4, 1)), mask)
+
+    @pytest.mark.parametrize("y_shape, mask_shape", [((2, 4, 1), (2, 3)), ((4, 1), (4,))])
+    def test_mask_shape_checked(self, y_shape, mask_shape):
+        with pytest.raises(TrainingError, match="must be"):
+            mse_loss(Tensor(np.ones(y_shape)), np.ones(y_shape), np.ones(mask_shape, bool))
 
     def test_gradient_closed_form(self):
         rng = np.random.default_rng(2)
@@ -199,6 +234,40 @@ class TestTrainLoop:
         restored = HSTTN(cfg)
         restored.params.load_arrays(ckpt.parameters)
         assert abs(validation_loss(restored, val_w) - ckpt.val_loss) < 1e-9
+
+    @pytest.mark.parametrize("batch_size", [1, 3, 4, 64])
+    def test_chunked_validation_loss_is_mean_of_window_losses(self, batch_size):
+        cfg, stats, train_w, val_w = tiny_setup(seed=8)
+        model = HSTTN(cfg, seed=6)
+        reference = np.mean([
+            mse_loss(model.forward(Tensor(w.history)), w.future_target,
+                     w.future_validity).data.item() for w in train_w])
+        assert validation_loss(model, train_w, batch_size) == pytest.approx(
+            reference, rel=1e-12, abs=0.0)
+
+    def test_batch_step_gradient_is_mean_of_window_gradients(self):
+        cfg, stats, train_w, val_w = tiny_setup(seed=9)
+        model = HSTTN(cfg, seed=7)
+        batch = train_w[:4]
+        params = model.params.trainable()
+
+        def gradients(losses):
+            model.params.zero_grad()
+            with GradTape() as tape:
+                total = None
+                for x, y, mask in losses:
+                    wl = mse_loss(model.forward(Tensor(x)), y, mask)
+                    total = wl if total is None else add(total, wl)
+                backward(scale(total, 1.0 / len(losses)), tape)
+            return {k: p.grad.copy() for k, p in params.items()}
+
+        batched = gradients([(np.stack([w.history for w in batch]),
+                              np.stack([w.future_target for w in batch]),
+                              np.stack([w.future_validity for w in batch]))])
+        per_window = gradients([(w.history, w.future_target, w.future_validity)
+                                for w in batch])
+        for name in params:
+            assert np.allclose(batched[name], per_window[name], rtol=1e-9, atol=1e-15), name
 
     def test_training_reduces_loss(self):
         cfg, stats, train_w, val_w = tiny_setup(seed=7)
