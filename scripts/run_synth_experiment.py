@@ -69,7 +69,7 @@ def main() -> int:
     print(f"training on {len(train_w)} windows "
           f"({args.turbines} turbines, horizon {f} steps) ...")
     best, records = train(model, train_w, val_w, tc, stats,
-                          schema_dict=rs.schema.to_dict())
+                          schema=rs.schema)
     model.params.load_arrays(best.parameters)
     save_checkpoint(args.out / "checkpoint.bin", best)
     print(f"best validation loss {best.val_loss:.5f} at epoch {best.epoch} "

@@ -35,7 +35,6 @@ from .training import (
     Checkpoint,
     TrainConfig,
     adam_step,
-    early_stop,
     lr_schedule,
     mse_loss,
     train,
@@ -48,8 +47,8 @@ __all__ = [
     "MetricReport", "ModelConfig", "ModelParameters", "NormStats", "RecordSet",
     "RngStream", "SampleWindow", "ScaleTrace", "Schema", "SplitBounds",
     "Tensor", "TrainConfig", "adam_step", "apply_zscore", "backward",
-    "early_stop", "evaluate_model", "fit_zscore", "grad_check",
-    "load_records", "lr_schedule", "make_variant", "make_windows",
-    "mark_invalid", "masked_mae", "masked_rmse", "mse_loss",
-    "synth_generate", "train", "variant_config",
+    "evaluate_model", "fit_zscore", "grad_check", "load_records",
+    "lr_schedule", "make_variant", "make_windows", "mark_invalid",
+    "masked_mae", "masked_rmse", "mse_loss", "synth_generate", "train",
+    "variant_config",
 ]

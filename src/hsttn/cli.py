@@ -14,7 +14,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -46,7 +46,7 @@ from .errors import (
     TrainingError,
 )
 from .evaluation import evaluate_model, predict_window
-from .kv import read_kv, write_kv
+from .kv import parse_fields, read_kv, write_kv
 from .model import HSTTN, ModelConfig
 from .training import TrainConfig, train
 
@@ -102,34 +102,28 @@ class RunConfig:
     training: dict = field(default_factory=dict)
 
     @classmethod
-    def _file_keys(cls) -> dict[str, tuple[str | None, str, object]]:
-        """File key -> (section, field name, default); section None is a run key."""
-        keys = {f.name: (None, f.name, f.default) for f in fields(cls)
-                if f.name not in ("model", "training")}
+    def _file_keys(cls) -> dict[str, tuple[str | None, Field]]:
+        """File key -> (section, field); section None is a run key."""
+        keys = {f.name: (None, f) for f in fields(cls) if f.name not in ("model", "training")}
         for section, source in (("model", ModelConfig), ("training", TrainConfig)):
             for f in fields(source):
                 if f.name not in keys and f.name not in _NOT_IN_FILE:
-                    keys[_FILE_KEY.get(f.name, f.name)] = (section, f.name, f.default)
+                    keys[_FILE_KEY.get(f.name, f.name)] = (section, f)
         return keys
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        kv = read_kv(path)
         keys = cls._file_keys()
-        unknown = sorted(set(kv) - set(keys))
-        if unknown:
-            raise ConfigError(f"{path}: unknown key(s) {unknown}; known keys are {sorted(keys)}")
         values: dict = {"model": {}, "training": {}}
-        for key, (section, name, default) in keys.items():
-            if key not in kv and default is MISSING:
-                raise ConfigError(f"{path}: missing required key {key!r}")
-            value = _parse_value(path, key, kv[key], default) if key in kv else default
-            (values[section] if section else values)[name] = value
+        fields_by_key = {k: f for k, (_, f) in keys.items()}
+        for key, value in parse_fields(path, read_kv(path), fields_by_key).items():
+            section, f = keys[key]
+            (values[section] if section else values)[f.name] = value
+        cfg = cls(**values)
         base = Path(path).parent
-        for key in ("data", "schema"):
-            values[key] = (base / values[key]).resolve()
-        values["out_dir"] = base / values["out_dir"]
-        return cls(**values)
+        cfg.data, cfg.schema = (base / cfg.data).resolve(), (base / cfg.schema).resolve()
+        cfg.out_dir = base / cfg.out_dir
+        return cfg
 
     def model_config(self, n_turbines: int, n_channels: int) -> ModelConfig:
         return ModelConfig(n_turbines=n_turbines, n_channels=n_channels,
@@ -140,23 +134,11 @@ class RunConfig:
         return TrainConfig(seed=self.seed, **self.training)
 
 
-_BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
-             "false": False, "0": False, "no": False, "off": False}
-
-
-def _parse_value(path, key: str, raw: str, default):
-    """Parse `raw` as the type of the key's default; paths stay strings."""
-    kind = type(default)
-    try:
-        if kind is bool:
-            return _BOOLEANS[raw.lower()]
-        if kind is tuple:
-            return () if raw in ("", "none") else tuple(int(p) for p in raw.split(","))
-        return kind(raw) if kind in (int, float) else raw
-    except (KeyError, ValueError):
-        expected = {bool: "a boolean", int: "an integer", float: "a number",
-                    tuple: "comma-separated integers"}
-        raise ConfigError(f"{path}: key {key!r} must be {expected[kind]}, got {raw!r}") from None
+def _write_table(path, header: list[str], rows) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _load_and_prepare(data_path, schema_path) -> RecordSet:
@@ -204,16 +186,13 @@ def cmd_train(args) -> int:
 
     model = HSTTN(model_cfg, seed=cfg.seed)
     best, records = train(model, train_windows, val_windows, train_cfg,
-                          stats, schema_dict=rs.schema.to_dict())
+                          stats, schema=rs.schema)
 
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     ckpt_io.save_checkpoint(out / "checkpoint.bin", best)
-    with (out / "train_log.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_loss", "lr"])
-        for r in records:
-            writer.writerow([r.epoch, repr(r.train_loss), repr(r.val_loss), repr(r.lr)])
+    _write_table(out / "train_log.csv", ["epoch", "train_loss", "val_loss", "lr"],
+                 ([r.epoch, repr(r.train_loss), repr(r.val_loss), repr(r.lr)] for r in records))
     print(f"best validation loss {best.val_loss!r} at epoch {best.epoch}; "
           f"checkpoint -> {out / 'checkpoint.bin'}")
     return EXIT_OK
@@ -224,8 +203,7 @@ def _restore(checkpoint_path, data_path, schema_path):
         raise IngestError(f"checkpoint not found: {checkpoint_path}")
     ckpt = ckpt_io.load_checkpoint(checkpoint_path)
     rs = _load_and_prepare(data_path, schema_path)
-    if ckpt.schema_dict and tuple(ckpt.schema_dict.get("channels", "").split(",")) \
-            != rs.schema.channels:
+    if ckpt.schema is not None and ckpt.schema.channels != rs.schema.channels:
         raise UsageError(
             "dataset channels do not match the channels this checkpoint was trained on"
         )
@@ -260,22 +238,14 @@ def cmd_predict(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "forecast.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["turbine", "step", "predicted_power"])
-        for n in range(pred.shape[0]):
-            for k in range(pred.shape[1]):
-                writer.writerow([n, k, repr(float(pred[n, k]))])
+    _write_table(out / "forecast.csv", ["turbine", "step", "predicted_power"],
+                 ([n, k, repr(float(v))] for (n, k), v in np.ndenumerate(pred)))
     wrote_truth = window.future_validity.shape[1] == f
     if wrote_truth:
         truth = ckpt.norm_stats.invert(window.future_target[:, :, 0], target)
-        with (out / "truth.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["turbine", "step", "actual_power", "valid"])
-            for n in range(truth.shape[0]):
-                for k in range(truth.shape[1]):
-                    writer.writerow([n, k, repr(float(truth[n, k])),
-                                     int(window.future_validity[n, k])])
+        _write_table(out / "truth.csv", ["turbine", "step", "actual_power", "valid"],
+                     ([n, k, repr(float(v)), int(window.future_validity[n, k])]
+                      for (n, k), v in np.ndenumerate(truth)))
     print(f"forecast for {pred.shape[0]} turbines x {pred.shape[1]} steps "
           f"-> {out / 'forecast.csv'}" + (" (+ truth.csv)" if wrote_truth else ""))
     return EXIT_OK
@@ -291,8 +261,8 @@ def cmd_evaluate(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with (out / "report.csv").open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh).writerows(report.to_csv_rows())
+    header, *rows = report.to_csv_rows()
+    _write_table(out / "report.csv", header, rows)
     write_kv(out / "report.kv", report.to_kv(), header="farm evaluation report")
     print(f"MAE {report.mae!r} {report.unit}, RMSE {report.rmse!r} {report.unit} "
           f"over {report.n_windows} windows -> {out / 'report.kv'}")
@@ -317,6 +287,8 @@ def _read_grid(path) -> dict[tuple[int, int], float]:
                 ) from None
             if not math.isfinite(value):
                 raise IngestError(f"{path}:{lineno}: value {cells[2]!r} is not finite")
+            if key in grid:
+                raise IngestError(f"{path}:{lineno}: repeated turbine {key[0]} step {key[1]}")
             grid[key] = value
     if not grid:
         raise IngestError(f"{path}: no rows")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import RngStream
 from .errors import ConfigError, DatasetError, IngestError
-from .kv import read_kv, write_kv
+from .kv import parse_fields, read_kv, write_kv
 
 MINUTES_PER_DAY = 24 * 60
 
@@ -67,48 +67,31 @@ class Schema:
         return MINUTES_PER_DAY // self.step_minutes
 
     @classmethod
-    def default(cls) -> "Schema":
-        return cls(channels=DEFAULT_CHANNELS)
+    def load(cls, path) -> "Schema":
+        return cls.from_kv(path, read_kv(path))
 
     @classmethod
-    def load(cls, path) -> "Schema":
-        """Read a schema file whose keys are the dataclass fields; unknown keys
-        are refused. Absent keys take the dataclass defaults, except the column
-        roles, which an absent or `none` entry leaves unset."""
-        kv = read_kv(path)
-        known = [f.name for f in fields(cls)]
-        unknown = sorted(set(kv) - set(known))
-        if unknown:
-            raise ConfigError(f"{path}: unknown schema key(s) {unknown}; known keys are {known}")
-        if "channels" not in kv:
-            raise ConfigError(f"{path}: schema file must declare 'channels'")
-        args = dict(kv, channels=tuple(c.strip() for c in kv["channels"].split(",") if c.strip()))
-        if "step_minutes" in kv:
-            try:
-                args["step_minutes"] = int(kv["step_minutes"])
-            except ValueError:
-                raise ConfigError(f"{path}: step_minutes must be an integer, "
-                                  f"got {kv['step_minutes']!r}") from None
-        for role in _ROLES:
-            value = kv.get(role, "")
-            args[role] = value if value and value.lower() != "none" else None
-        return cls(**args)
+    def from_kv(cls, source, entries: dict[str, str]) -> "Schema":
+        """Read schema text entries whose keys are the dataclass fields;
+        unknown keys are refused and `channels` is required. Absent keys take
+        the dataclass defaults, except the column roles, which an absent or
+        `none` entry leaves unset."""
+        values = parse_fields(source, entries, {f.name: f for f in fields(cls)})
+        try:
+            return cls(**{**dict.fromkeys(_ROLES), **values})
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
 
     def save(self, path) -> None:
         write_kv(path, self.to_dict(), header="farm record schema")
 
     def to_dict(self) -> dict[str, str]:
-        return {
-            "id_column": self.id_column,
-            "day_column": self.day_column,
-            "time_column": self.time_column,
-            "step_minutes": str(self.step_minutes),
-            "channels": ",".join(self.channels),
-            "target": self.target,
-            "wind_speed": self.wind_speed or "none",
-            "wind_direction": self.wind_direction or "none",
-            "nacelle_direction": self.nacelle_direction or "none",
-        }
+        """The text entries `from_kv` reads back, in schema-file order."""
+        keys = ("id_column", "day_column", "time_column", "step_minutes", "channels",
+                "target", *_ROLES)
+        values = {k: getattr(self, k) for k in keys}
+        return {k: ",".join(v) if isinstance(v, tuple) else "none" if v is None else str(v)
+                for k, v in values.items()}
 
 
 @dataclass

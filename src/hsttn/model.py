@@ -193,9 +193,6 @@ class ModelParameters:
     def items(self):
         return self._tensors.items()
 
-    def names(self) -> list[str]:
-        return list(self._tensors)
-
     def trainable(self) -> dict[str, Tensor]:
         return {k: t for k, t in self._tensors.items() if t.requires_grad}
 

@@ -5,13 +5,13 @@ selection. Fully deterministic for a fixed seed."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .autodiff import GradTape, RngStream, Tensor, add, backward, mul, scale, sum_all
-from .data import NormStats, SampleWindow, drop_fully_invalid
+from .data import NormStats, SampleWindow, Schema, drop_fully_invalid
 from .errors import ConfigError, DatasetError, TrainingError
 from .model import HSTTN, ModelConfig
 
@@ -107,22 +107,6 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     return cfg.initial_lr * cfg.lr_decay ** epoch
 
 
-def early_stop(history: Sequence[float], patience: int) -> bool:
-    """True once the running best has gone `patience` consecutive epochs
-    without strict improvement."""
-    if not history:
-        raise ConfigError("early_stop needs a non-empty history")
-    best = history[0]
-    stale = 0
-    for value in history[1:]:
-        if value < best:
-            best = value
-            stale = 0
-        else:
-            stale += 1
-    return stale >= patience
-
-
 @dataclass
 class EpochRecord:
     epoch: int
@@ -141,7 +125,7 @@ class Checkpoint:
     val_loss: float
     norm_stats: NormStats
     train_config: TrainConfig
-    schema_dict: dict = field(default_factory=dict)
+    schema: Schema | None = None
 
 
 def _stack_windows(windows: Sequence[SampleWindow]
@@ -171,7 +155,7 @@ def validation_loss(model: HSTTN, windows: Sequence[SampleWindow],
 
 def train(model: HSTTN, train_windows: Sequence[SampleWindow],
           val_windows: Sequence[SampleWindow], cfg: TrainConfig,
-          norm_stats: NormStats, schema_dict: dict | None = None,
+          norm_stats: NormStats, schema: Schema | None = None,
           ) -> tuple[Checkpoint, list[EpochRecord]]:
     """Epoch loop over seeded shuffles of full-farm windows. Each batch is
     stacked along a leading window axis and takes one forward and one
@@ -192,15 +176,9 @@ def train(model: HSTTN, train_windows: Sequence[SampleWindow],
     dropout_rng = rng.child(1)
 
     def snapshot(epoch: int, val: float) -> Checkpoint:
-        return Checkpoint(
-            model_config=model.config,
-            parameters=model.params.state_arrays(),
-            epoch=epoch,
-            val_loss=val,
-            norm_stats=norm_stats,
-            train_config=cfg,
-            schema_dict=schema_dict or {},
-        )
+        return Checkpoint(model_config=model.config, parameters=model.params.state_arrays(),
+                          epoch=epoch, val_loss=val, norm_stats=norm_stats,
+                          train_config=cfg, schema=schema)
 
     def checked_validation(epoch: int) -> float:
         val = validation_loss(model, val_windows, cfg.batch_size)
@@ -208,9 +186,7 @@ def train(model: HSTTN, train_windows: Sequence[SampleWindow],
             raise TrainingError(f"validation loss is {val} at epoch {epoch}")
         return val
 
-    best_val = checked_validation(0)
-    best = snapshot(0, best_val)
-    history = [best_val]
+    best = snapshot(0, checked_validation(0))
     records: list[EpochRecord] = []
 
     for epoch in range(cfg.max_epochs):
@@ -235,12 +211,12 @@ def train(model: HSTTN, train_windows: Sequence[SampleWindow],
             n_batches += 1
 
         val = checked_validation(epoch + 1)
-        history.append(val)
         records.append(EpochRecord(epoch=epoch + 1, train_loss=epoch_loss / n_batches,
                                    val_loss=val, lr=lr))
-        if val < best_val:
-            best_val = val
+        # `best` moves only on a strict improvement, so this counts the
+        # epochs since the last one
+        if val < best.val_loss:
             best = snapshot(epoch + 1, val)
-        if early_stop(history, cfg.patience):
+        if epoch + 1 - best.epoch >= cfg.patience:
             break
     return best, records

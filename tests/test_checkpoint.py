@@ -7,7 +7,7 @@ from hsttn.checkpoint import (
     save_checkpoint,
 )
 from hsttn.container import read_container, write_container
-from hsttn.data import NormStats
+from hsttn.data import NormStats, Schema
 from hsttn.errors import IngestError
 from hsttn.model import HSTTN, ModelConfig
 from hsttn.training import Checkpoint, TrainConfig
@@ -20,7 +20,11 @@ def tiny_config(**kw):
     return ModelConfig(**base)
 
 
-def make_checkpoint(seed=0):
+SCHEMA = Schema(channels=("a", "b", "c"), target="c", wind_speed=None,
+                wind_direction=None, nacelle_direction=None)
+
+
+def make_checkpoint(seed=0, schema=SCHEMA):
     model = HSTTN(tiny_config(), seed=seed)
     stats = NormStats(mean=np.array([1.0, 2.0, 3.0]), std=np.array([0.5, 1.5, 2.5]))
     return Checkpoint(
@@ -30,7 +34,7 @@ def make_checkpoint(seed=0):
         val_loss=0.1234,
         norm_stats=stats,
         train_config=TrainConfig(seed=seed),
-        schema_dict={"channels": "a,b,c", "target": "c"},
+        schema=schema,
     )
 
 
@@ -108,12 +112,18 @@ class TestCheckpoint:
         assert back.train_config == ckpt.train_config
         assert back.epoch == ckpt.epoch
         assert back.val_loss == ckpt.val_loss
-        assert back.schema_dict == ckpt.schema_dict
+        assert back.schema == SCHEMA
         assert set(back.parameters) == set(ckpt.parameters)
         for name, arr in ckpt.parameters.items():
             assert np.array_equal(back.parameters[name], arr)
         assert np.array_equal(back.norm_stats.mean, ckpt.norm_stats.mean)
         assert np.array_equal(back.norm_stats.std, ckpt.norm_stats.std)
+
+    def test_no_schema_round_trips_as_none(self, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        save_checkpoint(path, make_checkpoint(schema=None))
+        assert read_container(path)[0]["schema"] == {}
+        assert load_checkpoint(path).schema is None
 
     def test_model_restoration_predicts_identically(self, tmp_path):
         ckpt = make_checkpoint(seed=3)
@@ -128,6 +138,10 @@ class TestCheckpoint:
         lambda h: h.pop("epoch"),
         lambda h: h.update(val_loss="low"),
         lambda h: h.update(schema=[1]),
+        lambda h: h["schema"].update(step_minutes=10),
+        lambda h: h["schema"].update(target="x"),
+        lambda h: h["schema"].update(traget="c"),
+        lambda h: h["schema"].pop("channels"),
         lambda h: h["model_config"].pop("d_model"),
         lambda h: h["model_config"].update(d_model="4"),
         lambda h: h["model_config"].update(use_skip=1),

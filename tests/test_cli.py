@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hsttn.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from hsttn.cli import RunConfig, main
+from hsttn.container import read_container, write_container
 from hsttn.data import Schema, apply_zscore, load_records, make_windows, mark_invalid
 from hsttn.evaluation import evaluate_model, predict_window
 from hsttn.model import ModelConfig, ModelParameters
@@ -235,6 +236,22 @@ class TestTrain:
         assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 3
         assert f"{tmp_path / name}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, line, key", [
+        ("run.cfg", "batch_size = 4", "batch_size"),
+        ("run.cfg", "pool_factors = 3", "pool_factors"),
+        ("synthetic.schema", "step_minutes = 10", "step_minutes"),
+    ])
+    def test_unparseable_value_is_usage_error(self, workspace, tmp_path, capsys, name, line,
+                                              key):
+        for copy in ("run.cfg", "synthetic.csv", "synthetic.schema"):
+            (tmp_path / copy).write_bytes((workspace / copy).read_bytes())
+        text = (tmp_path / name).read_text()
+        assert line in text
+        (tmp_path / name).write_text(text.replace(line, f"{key} = x"))
+        assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / name}: key {key!r}" in err and "'x'" in err
+
 
 class TestPredict:
     def test_row_count_and_cross_path_consistency(self, workspace, tmp_path):
@@ -352,6 +369,23 @@ class TestCorruptCheckpoint:
                      "--schema", str(workspace / "synthetic.schema"),
                      "--start", "130", "--stride", "6", "--out", str(fuzz / "out")])
         assert code in (0, 2, 3, 4)
+
+    @pytest.mark.parametrize("edit, code", [
+        (lambda s: dict(s, target="Aux"), 3),
+        (lambda s: dict(s, traget=s["target"]), 3),
+        (lambda s: {"channels": s["channels"]}, 0),
+    ], ids=["target_outside_channels", "unknown_key", "channels_only"])
+    def test_schema_header(self, workspace, tmp_path, capsys, edit, code):
+        header, arrays = read_container(workspace / "run_out" / "checkpoint.bin")
+        header["schema"] = edit(header["schema"])
+        path = tmp_path / "checkpoint.bin"
+        write_container(path, header, arrays)
+        assert main(["predict", "--checkpoint", str(path),
+                     "--data", str(workspace / "synthetic.csv"),
+                     "--schema", str(workspace / "synthetic.schema"),
+                     "--origin", "140", "--out", str(tmp_path / "out")]) == code
+        if code:
+            assert f"{path}: checkpoint schema: " in capsys.readouterr().err
 
 
 def mutate(data, blob: bytes) -> bytes:
@@ -495,6 +529,16 @@ class TestPlot:
         assert main(["plot", "--forecast", str(bad), "--truth", str(truth),
                      "--turbine", "0", "--out", str(tmp_path / "x.svg")]) == 3
         assert f"{bad}:" in capsys.readouterr().err
+
+    def test_repeated_row_is_io_error(self, forecast_files, tmp_path, capsys):
+        forecast, truth = forecast_files
+        bad = tmp_path / "repeated.csv"
+        text = forecast.read_text()
+        bad.write_text(text + "0,0,1e9\n")
+        assert main(["plot", "--forecast", str(bad), "--truth", str(truth),
+                     "--turbine", "0", "--out", str(tmp_path / "x.svg")]) == 3
+        assert f"{bad}:{len(text.splitlines()) + 1}: " in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
 
     def test_grid_mismatch(self, forecast_files, tmp_path):
         forecast, truth = forecast_files

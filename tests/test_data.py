@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsttn.data import (
+    DEFAULT_CHANNELS,
     NormStats,
     RecordSet,
     Schema,
@@ -71,7 +72,7 @@ class TestLoadRecords:
         assert not rs.validity[0, 1]
 
     def test_default_schema_has_13_channels(self, tmp_path):
-        schema = Schema.default()
+        schema = Schema(channels=DEFAULT_CHANNELS)
         assert len(schema.channels) == 13
         rs = synth_generate(2, 4, 13, seed=0)
         assert rs.values.shape == (2, 4, 13)
@@ -406,7 +407,7 @@ class TestCacheRoundTrip:
 
 class TestSchemaFile:
     def test_save_load_round_trip(self, tmp_path):
-        schema = Schema.default()
+        schema = Schema(channels=DEFAULT_CHANNELS)
         path = tmp_path / "farm.schema"
         schema.save(path)
         assert Schema.load(path) == schema

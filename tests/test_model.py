@@ -713,8 +713,9 @@ class TestParameters:
         cfg = tiny_config()
         a = HSTTN(cfg, seed=1).params
         b = HSTTN(cfg, seed=2).params
-        assert a.names() == b.names()
-        for name in a.names():
+        names = [n for n, _ in a.items()]
+        assert [n for n, _ in b.items()] == names
+        for name in names:
             assert a[name].shape == b[name].shape
 
     # checkpoint arrays and the initialiser's draws follow declaration order;
@@ -748,7 +749,7 @@ class TestParameters:
     ], ids=["hsttn", "st_only"])
     def test_declaration_order(self, edits, names):
         cfg = tiny_config(layers_encoder=1, **edits)
-        assert HSTTN(cfg, seed=0).params.names() == names
+        assert [n for n, _ in HSTTN(cfg, seed=0).params.items()] == names
 
     def test_load_rejects_wrong_names(self):
         model = HSTTN(tiny_config(), seed=14)

@@ -11,7 +11,6 @@ from hsttn.training import (
     AdamState,
     TrainConfig,
     adam_step,
-    early_stop,
     lr_schedule,
     mse_loss,
     train,
@@ -160,29 +159,6 @@ class TestSchedule:
         assert lr_schedule(7, cfg) == 2e-3
 
 
-class TestEarlyStop:
-    def test_decreasing_never_stops(self):
-        assert not early_stop([5.0, 4.0, 3.0, 2.0], patience=2)
-
-    def test_plateau_stops(self):
-        assert not early_stop([3.0, 2.0, 2.0], patience=2)
-        assert early_stop([3.0, 2.0, 2.0, 2.0], patience=2)
-
-    def test_single_entry(self):
-        assert not early_stop([1.0], patience=3)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            early_stop([], patience=1)
-
-    @given(st.lists(st.floats(0.1, 10.0), min_size=2, max_size=20), st.integers(1, 5))
-    @settings(max_examples=50)
-    def test_stop_implies_stale_tail(self, history, patience):
-        if early_stop(history, patience):
-            best_idx = int(np.argmin(history))
-            assert len(history) - 1 - best_idx >= patience
-
-
 def tiny_setup(seed=0, n_timestamps=140):
     rs = synth_generate(2, n_timestamps, 3, seed=seed)
     stats = fit_zscore(rs, (0, 100))
@@ -192,6 +168,47 @@ def tiny_setup(seed=0, n_timestamps=140):
     cfg = ModelConfig(n_turbines=2, history_len=6, horizon_len=6, n_channels=3,
                       d_model=4, n_heads=2, pool_factors=(3,), dropout_rate=0.0)
     return cfg, stats, train_w, val_w
+
+
+def scripted_run(losses, patience):
+    """Train with `validation_loss` replaced by `losses` in order: the
+    initial pass reads losses[0] and epoch e reads losses[e]."""
+    cfg, stats, train_w, val_w = tiny_setup()
+    script = iter(losses)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("hsttn.training.validation_loss", lambda *args: next(script))
+        tc = TrainConfig(initial_lr=1e-3, max_epochs=len(losses) - 1, patience=patience)
+        return train(HSTTN(cfg, seed=0), train_w[:1], val_w, tc, stats)
+
+
+class TestEarlyStopping:
+    def test_plateau_stops_patience_after_best(self):
+        best, records = scripted_run([3.0, 2.0, 2.5, 2.0, 2.0, 1.0, 0.5], patience=3)
+        assert best.epoch == 1 and best.val_loss == 2.0
+        assert [r.epoch for r in records] == [1, 2, 3, 4]
+
+    def test_strictly_decreasing_runs_every_epoch(self):
+        best, records = scripted_run([9.0, 8.0, 7.0, 6.0, 5.0], patience=1)
+        assert len(records) == 4
+        assert best.epoch == 4 and best.val_loss == 5.0
+
+    def test_equal_loss_is_not_an_improvement(self):
+        best, records = scripted_run([1.0, 1.0, 1.0, 0.5], patience=2)
+        assert best.epoch == 0
+        assert len(records) == 2
+
+    @given(st.lists(st.sampled_from([1.0, 2.0, 3.0]) | st.floats(0.1, 10.0),
+                    min_size=1, max_size=9), st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_stops_at_first_stale_epoch(self, losses, patience):
+        best, records = scripted_run(losses, patience)
+        n = len(records)
+        # the best of epochs 0..k is the first epoch reaching their minimum
+        stale = [k - int(np.argmin(losses[:k + 1])) >= patience for k in range(len(losses))]
+        assert not any(stale[:n])
+        assert n == len(losses) - 1 or stale[n]
+        assert best.epoch == int(np.argmin(losses[:n + 1]))
+        assert [r.val_loss for r in records] == losses[1:n + 1]
 
 
 class TestTrainLoop:
