@@ -1,22 +1,25 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Only the operations the forecasting model needs are implemented: batched
-matrix products, row softmax, row gathers, ReLU, channel-wise 1x1
+matrix products, multi-head attention as one op, ReLU, channel-wise 1x1
 convolution, temporal max-pooling, stride-expanding transposed
 convolution, concatenation, dropout, broadcasting views, and a few
 elementwise helpers.
 Forward values live in numpy arrays; gradients are accumulated on
-`Tensor.grad` by replaying a `GradTape` in reverse.
+`Tensor.grad` by replaying a `GradTape` in reverse. The replay consumes
+the tape: each node, with the arrays it saved, is dropped as soon as its
+rule has run, and only leaf tensors keep a gradient afterwards.
 
 Sums run in the order their operands are stored. Turbine-permutation
-equivariance holds bitwise because the model puts every attended
-sequence into a canonical row order (`take_rows`) before it reduces over
-that sequence. `mix` and `softmax_rows`, which instead accumulate in
-sorted order, are kept only for the acceptance gate's gradient checks.
+equivariance holds bitwise because `attend` puts every attended sequence
+into a canonical row order before it reduces over that sequence. `mix`
+and `softmax_rows`, which instead accumulate in sorted order, are kept
+only for the acceptance gate's gradient checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -33,12 +36,11 @@ __all__ = [
     "scale",
     "matmul",
     "mix",
-    "take_rows",
+    "attend",
     "permute",
     "reshape",
     "broadcast_to",
     "relu",
-    "softmax",
     "softmax_rows",
     "concat",
     "maxpool1d",
@@ -128,10 +130,12 @@ _TAPE_STACK: list["GradTape"] = []
 
 
 class GradTape:
-    """Execution-ordered op record; reverse replay populates gradients."""
+    """Execution-ordered op record. `backward` replays it in reverse once
+    and consumes it: afterwards `nodes` is empty and `replayed` is set."""
 
     def __init__(self):
         self.nodes: list[TapeNode] = []
+        self.replayed = False
 
     def __enter__(self) -> "GradTape":
         _TAPE_STACK.append(self)
@@ -149,12 +153,24 @@ def _record(out: Tensor, inputs: Sequence[Tensor], rule) -> Tensor:
 
 
 def backward(loss: Tensor, tape: GradTape) -> None:
-    """Populate `grad` on every requires_grad tensor reachable from `loss`."""
+    """Populate `grad` on every requires_grad leaf reachable from `loss`.
+
+    The replay consumes the tape. It pops each node, runs its rule and
+    clears the node's output gradient, so intermediate arrays and
+    gradients are freed as the replay moves back through the graph; only
+    tensors that no recorded op produced keep their `grad`. A second
+    replay of the same tape raises `ContractError`.
+    """
+    if tape.replayed:
+        raise ContractError("this tape has already been replayed; record the computation again")
     if loss.data.shape != ():
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
+    tape.replayed = True
     loss.accumulate_grad(np.ones((), dtype=np.float64))
-    for node in reversed(tape.nodes):
-        g = node.output.grad
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
+        g, node.output.grad = node.output.grad, None
         if g is None:
             continue
         for t, gi in zip(node.inputs, node.rule(g)):
@@ -270,26 +286,99 @@ def mix(weights: Tensor, values: Tensor) -> Tensor:
     return _record(out, (weights, values), rule)
 
 
-def take_rows(a: Tensor, order: np.ndarray) -> Tensor:
-    """Rows of `a` along axis -2 in the order `order` gives, one sequence
-    per index of the leading axes: `out[..., i, :] = a[..., order[..., i], :]`.
+def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, n_heads: int,
+           probs: list | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention up to, not including, the
+    output projection, as one op: (..., Lq, d) queries attend to the
+    (..., Lk, d) key/value rows at the same leading index, and the result
+    is the heads' contexts side by side, (..., Lq, n_heads * dv).
 
-    `order` has shape `a.shape[:-1]` and holds a permutation of
-    `range(a.shape[-2])` for every sequence; the gradient goes back
-    through the inverse permutation.
+    The key/value rows are first gathered into a canonical order, a
+    lexicographic sort of their float64 bit patterns, so rows tie only
+    when they are bitwise identical and every sum over keys runs in the
+    same order however the caller numbered them. The forward projects
+    q = query @ wq / sqrt(dk), k = rows @ wk and v = rows @ wv, and turns
+    the scores q @ k^T into probabilities in place, so one (..., heads,
+    Lq, Lk) array exists per call. The op saves the query, the gathered
+    rows, q, k, v and each score row's max and normaliser, never the
+    probabilities; the backward recomputes them from those, bitwise equal
+    to the forward's. A `probs` list receives the probabilities with the
+    keys in the caller's order.
     """
-    order = np.asarray(order)
-    if a.ndim < 2 or order.shape != a.shape[:-1]:
-        raise ShapeError(f"take_rows needs an order of shape {a.shape[:-1]}, got {order.shape}")
-    if not (np.sort(order, axis=-1) == np.arange(a.shape[-2])).all():
-        raise ContractError("take_rows needs a permutation of the rows for every sequence")
-    out = Tensor(np.take_along_axis(a.data, order[..., None], axis=-2), a.requires_grad)
+    lead = query.shape[:-2]
+    if query.ndim < 2 or keys.ndim != query.ndim or keys.shape[:-2] != lead:
+        raise ShapeError(
+            f"attention needs (..., L, d) inputs with the same leading axes, "
+            f"got {query.shape} and {keys.shape}"
+        )
+    if (wq.ndim != 2 or wq.shape != wk.shape or wv.ndim != 2 or wq.shape[0] != wv.shape[0]
+            or wq.shape[1] % n_heads or wv.shape[1] % n_heads):
+        raise ShapeError(
+            f"attention weights {wq.shape}, {wk.shape}, {wv.shape} do not split into "
+            f"{n_heads} heads"
+        )
+    if query.shape[-1] != wq.shape[0] or keys.shape[-1] != wq.shape[0]:
+        raise ShapeError(
+            f"attention inputs {query.shape} and {keys.shape} do not match weights {wq.shape}"
+        )
+    n = len(lead)
+    lq = query.shape[-2]
+    dk = wq.shape[1] // n_heads
+    dv = wv.shape[1] // n_heads
+    # (..., L, heads, width) <-> (..., heads, L, width); its own inverse
+    heads_first = (*range(n), n + 1, n, n + 2)
+    last_two = (*range(n + 1), n + 2, n + 1)
+    c = 1.0 / math.sqrt(dk)
+
+    def split_heads(a: np.ndarray, width: int) -> np.ndarray:
+        return np.transpose(a.reshape(a.shape[:-1] + (n_heads, width)), heads_first)
+
+    def merge_heads(a: np.ndarray) -> np.ndarray:
+        return np.transpose(a, heads_first).reshape(lead + (-1, n_heads * a.shape[-1]))
+
+    order = np.lexsort(np.moveaxis(keys.data.view(np.int64), -1, 0), axis=-1)
+    rows = np.take_along_axis(keys.data, order[..., None], axis=-2)
+    q_proj = np.matmul(query.data, wq.data)
+    q_proj *= c
+    k_proj = np.matmul(rows, wk.data)
+    v_proj = np.matmul(rows, wv.data)
+    q, k, v = split_heads(q_proj, dk), split_heads(k_proj, dk), split_heads(v_proj, dv)
+    k_t = np.transpose(k, last_two)
+    p = np.matmul(q, k_t)
+    stats = _softmax_in_place(p)
+    if probs is not None:
+        inverse = np.argsort(order, axis=-1)[..., None, None, :]
+        probs.append(np.take_along_axis(p, inverse, axis=-1))
+    ctx = np.transpose(np.matmul(p, v), heads_first).reshape(lead + (lq, n_heads * dv))
+    out = Tensor(ctx, _requires(query, keys, wq, wk, wv))
 
     def rule(g):
+        # Each product runs on the same array layouts as in the forward, and
+        # the rows' gradient adds the v path before the k path: another
+        # layout or order changes the last bits of every trained checkpoint.
+        g_ctx = np.transpose(g.reshape(lead + (lq, n_heads, dv)), heads_first)
+        p = np.matmul(q, k_t)
+        _softmax_in_place(p, stats)
+        g_v = np.matmul(np.swapaxes(p, -1, -2), g_ctx)
+        g_p = _softmax_grad_in_place(np.matmul(g_ctx, np.swapaxes(v, -1, -2)), p)
+        del p  # free the (..., Lq, Lk) probabilities before the next products
+        g_q = np.matmul(g_p, np.swapaxes(k_t, -1, -2))
+        g_k = np.transpose(np.matmul(np.swapaxes(q, -1, -2), g_p), last_two)
+        del g_p
+        axes = list(range(n + 1))
+        g_v, g_k = merge_heads(g_v), merge_heads(g_k)
+        g_rows = np.matmul(g_v, wv.data.T)
+        g_wv = np.tensordot(rows, g_v, axes=(axes, axes))
+        g_rows += np.matmul(g_k, wk.data.T)
+        g_wk = np.tensordot(rows, g_k, axes=(axes, axes))
+        g_q = merge_heads(g_q) * c
+        g_query = np.matmul(g_q, wq.data.T)
+        g_wq = np.tensordot(query.data, g_q, axes=(axes, axes))
         inverse = np.argsort(order, axis=-1)
-        return (np.take_along_axis(g, inverse[..., None], axis=-2),)
+        g_keys = np.take_along_axis(g_rows, inverse[..., None], axis=-2)
+        return g_query, g_keys, g_wq, g_wk, g_wv
 
-    return _record(out, (a,), rule)
+    return _record(out, (query, keys, wq, wk, wv), rule)
 
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -332,35 +421,42 @@ def relu(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g * mask,))
 
 
-def _softmax(a: Tensor, name: str, sorted_sum: bool) -> Tensor:
-    """Stable softmax over the last axis; rows sum to one."""
-    if a.ndim < 1 or a.shape[-1] < 1:
-        raise ShapeError(f"{name} needs a non-empty last axis, got shape {a.shape}")
-    y = a.data - a.data.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= (np.sort(y, axis=-1) if sorted_sum else y).sum(axis=-1, keepdims=True)
-    out = Tensor(y, a.requires_grad)
+def _softmax_in_place(s: np.ndarray, stats=None, sorted_sum: bool = False):
+    """Overwrite scores `s` with their stable softmax over the last axis
+    and return each row's (max, normaliser). Given the `stats` of an
+    earlier call on the same scores, it reproduces that call's output
+    bitwise without summing again. A sorted normaliser does not depend on
+    the order of the row's entries."""
+    peak = s.max(axis=-1, keepdims=True) if stats is None else stats[0]
+    s -= peak
+    np.exp(s, out=s)
+    if stats is None:
+        stats = peak, (np.sort(s, axis=-1) if sorted_sum else s).sum(axis=-1, keepdims=True)
+    s /= stats[1]
+    return stats
 
-    def rule(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - dot) * y,)
 
-    return _record(out, (a,), rule)
-
-
-def softmax(a: Tensor) -> Tensor:
-    """Stable softmax over the last axis; the normaliser sums the row in
-    the order it is stored."""
-    return _softmax(a, "softmax", sorted_sum=False)
+def _softmax_grad_in_place(g: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Overwrite `g`, a gradient with respect to softmax outputs `p`, with
+    the gradient with respect to the scores."""
+    g -= (g * p).sum(axis=-1, keepdims=True)
+    g *= p
+    return g
 
 
 def softmax_rows(a: Tensor) -> Tensor:
     """Stable softmax over the last axis whose normaliser sums each row in
     sorted order, so each output row is bitwise invariant to reordering
-    the row's entries. The model uses `softmax` over keys in canonical
-    order instead; this stays because the acceptance gate grad-checks it.
+    the row's entries. The model's attention (`attend`) sums over keys in
+    canonical order instead; this stays because the acceptance gate
+    grad-checks it.
     """
-    return _softmax(a, "softmax_rows", sorted_sum=True)
+    if a.ndim < 1 or a.shape[-1] < 1:
+        raise ShapeError(f"softmax_rows needs a non-empty last axis, got shape {a.shape}")
+    y = a.data.copy()
+    _softmax_in_place(y, sorted_sum=True)
+    out = Tensor(y, a.requires_grad)
+    return _record(out, (a,), lambda g: (_softmax_grad_in_place(g.copy(), y),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:

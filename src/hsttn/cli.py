@@ -207,6 +207,11 @@ def _restore(checkpoint_path, data_path, schema_path):
         raise UsageError(
             "dataset channels do not match the channels this checkpoint was trained on"
         )
+    if ckpt.schema is not None and ckpt.schema.target != rs.schema.target:
+        raise UsageError(
+            f"dataset target {rs.schema.target!r} differs from the target "
+            f"{ckpt.schema.target!r} this checkpoint was trained on"
+        )
     if rs.n_turbines != ckpt.model_config.n_turbines:
         raise UsageError(
             f"dataset has {rs.n_turbines} turbines but the checkpoint was trained "

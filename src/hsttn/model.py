@@ -24,6 +24,7 @@ from .autodiff import (
     RngStream,
     Tensor,
     add,
+    attend,
     broadcast_to,
     concat,
     dropout,
@@ -33,9 +34,6 @@ from .autodiff import (
     pointwise_conv,
     relu,
     reshape,
-    scale,
-    softmax,
-    take_rows,
     upconv1d,
 )
 from .errors import ConfigError, ContractError, ShapeError
@@ -263,41 +261,18 @@ def attention(
 
     Inputs are (..., L, d): every index of the leading axes is one
     independent sequence, and queries from `query_seqs` attend to the
-    keys/values of `kv_seqs` at the same leading index. Each key/value
-    sequence is first put into a canonical row order, a lexicographic sort
-    of its rows' float64 bit patterns, so rows can tie only when they are
-    bitwise identical. Every sum over keys then runs in that order, and
-    outputs do not depend on how positions along the attended axis are
-    enumerated: permuting the key/value rows leaves the output bitwise
-    unchanged, and permuting the query rows permutes it. A trace that
-    collects probabilities records them in the caller's key order.
+    keys/values of `kv_seqs` at the same leading index. Everything up to
+    the heads' concatenated contexts is one fused op, `autodiff.attend`:
+    it sums over keys in a canonical order of the key/value rows (a sort
+    of their float64 bit patterns), so permuting the key/value rows leaves
+    the output bitwise unchanged and permuting the query rows permutes
+    it. It keeps only the gathered rows, the q/k/v projections and each
+    score row's max and normaliser for its backward, which recomputes the
+    probabilities. The output projection `wo` is a plain `matmul`. A trace
+    that collects probabilities records them in the caller's key order.
     """
-    lead = query_seqs.shape[:-2]
-    if query_seqs.ndim < 2 or kv_seqs.ndim != query_seqs.ndim or kv_seqs.shape[:-2] != lead:
-        raise ShapeError(
-            f"attention needs (..., L, d) inputs with the same leading axes, "
-            f"got {query_seqs.shape} and {kv_seqs.shape}"
-        )
-    n = len(lead)
-    lq = query_seqs.shape[-2]
-    dk = weights.wq.shape[1] // n_heads
-    dv = weights.wv.shape[1] // n_heads
-    # (..., L, heads, width) <-> (..., heads, L, width); its own inverse
-    heads_first = (*range(n), n + 1, n, n + 2)
-
-    def split_heads(t: Tensor, width: int) -> Tensor:
-        return permute(reshape(t, t.shape[:-1] + (n_heads, width)), heads_first)
-
-    order = np.lexsort(np.moveaxis(kv_seqs.data.view(np.int64), -1, 0), axis=-1)
-    kv = take_rows(kv_seqs, order)
-    q = split_heads(scale(matmul(query_seqs, weights.wq), 1.0 / math.sqrt(dk)), dk)
-    k = split_heads(matmul(kv, weights.wk), dk)
-    v = split_heads(matmul(kv, weights.wv), dv)
-    probs = softmax(matmul(q, permute(k, (*range(n + 1), n + 2, n + 1))))
-    if trace is not None and trace.collect_probs:
-        inverse = np.argsort(order, axis=-1)[..., None, None, :]
-        trace.attention_probs.append(np.take_along_axis(probs.data, inverse, axis=-1))
-    ctx = reshape(permute(matmul(probs, v), heads_first), lead + (lq, n_heads * dv))
+    probs = trace.attention_probs if trace is not None and trace.collect_probs else None
+    ctx = attend(query_seqs, kv_seqs, weights.wq, weights.wk, weights.wv, n_heads, probs)
     return matmul(ctx, weights.wo)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hsttn.autodiff import (
     RngStream,
     Tensor,
     add,
+    attend,
     broadcast_to,
     backward,
     concat,
@@ -22,10 +25,9 @@ from hsttn.autodiff import (
     pointwise_conv,
     relu,
     reshape,
-    softmax,
+    scale,
     softmax_rows,
     sum_all,
-    take_rows,
     upconv1d,
 )
 from hsttn.errors import ConfigError, ContractError, OracleError, ShapeError
@@ -93,42 +95,80 @@ class TestSoftmax:
         assert np.array_equal(out_p, out[perm])
 
     def test_plain_normaliser_agrees_with_sorted(self):
+        # `attend` normalises over keys in canonical order, `softmax_rows` in sorted order
         rng = np.random.default_rng(4)
-        a = rng.normal(size=(3, 5, 9))
-        out = softmax(Tensor(a)).data
-        assert np.allclose(out, softmax_rows(Tensor(a)).data, rtol=0, atol=1e-15)
+        x = rng.normal(size=(3, 9, 4))
+        wq, wk, wv = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
+        probs = []
+        attend(Tensor(x), Tensor(x), wq, wk, wv, 1, probs)
+        scores = (x @ wq.data / 2.0) @ np.swapaxes(x @ wk.data, -1, -2)
+        out = probs[0][:, 0]
+        assert np.allclose(out, softmax_rows(Tensor(scores)).data, rtol=0, atol=1e-14)
         assert np.all(np.abs(out.sum(axis=-1) - 1.0) <= 1e-12)
 
     def test_scalar_rejected(self):
-        with pytest.raises(ShapeError, match="softmax needs a non-empty last axis"):
-            softmax(Tensor(1.0))
+        with pytest.raises(ShapeError, match="softmax_rows needs a non-empty last axis"):
+            softmax_rows(Tensor(1.0))
 
 
-class TestTakeRows:
-    def test_hand_example(self):
-        a = np.arange(12.0).reshape(2, 3, 2)
-        order = np.array([[2, 0, 1], [1, 2, 0]])
-        out = take_rows(Tensor(a), order).data
-        assert np.array_equal(out[0], a[0][[2, 0, 1]])
-        assert np.array_equal(out[1], a[1][[1, 2, 0]])
+def attention_weights(rng, d: int, width_qk: int, width_v: int):
+    return tuple(Tensor(rng.normal(size=(d, w)), requires_grad=True)
+                 for w in (width_qk, width_qk, width_v))
 
-    def test_gradient_goes_back_through_inverse(self):
-        a = leaf(np.arange(6.0).reshape(3, 2))
-        weights = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-        with GradTape() as tape:
-            loss = sum_all(mul(take_rows(a, np.array([2, 0, 1])), weights))
-        backward(loss, tape)
-        # output row 0 is input row 2, row 1 is row 0, row 2 is row 1
-        assert np.array_equal(a.grad, [[3.0, 4.0], [5.0, 6.0], [1.0, 2.0]])
 
-    def test_order_shape_must_match(self):
-        with pytest.raises(ShapeError, match=r"order of shape \(2, 3\)"):
-            take_rows(Tensor(np.ones((2, 3, 4))), np.array([0, 1, 2]))
+class TestAttend:
+    def test_single_head_hand_example(self):
+        # one query attending to two scalar keys: probabilities by hand
+        q, kv = np.array([[1.0]]), np.array([[2.0], [-1.0]])
+        wq, wk, wv = Tensor([[0.5]]), Tensor([[1.5]]), Tensor([[3.0]])
+        probs = []
+        out = attend(Tensor(q), Tensor(kv), wq, wk, wv, 1, probs).data
+        scores = 0.5 * 1.5 * kv[:, 0]
+        p = np.exp(scores - scores.max()) / np.exp(scores - scores.max()).sum()
+        assert np.allclose(probs[0], p[None, None, :], rtol=0, atol=1e-15)
+        assert out.item() == pytest.approx(p @ (3.0 * kv[:, 0]), abs=1e-14)
 
-    @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1, 3], [-1, 0, 1]])
-    def test_order_must_be_a_permutation(self, order):
-        with pytest.raises(ContractError, match="permutation"):
-            take_rows(Tensor(np.ones((3, 2))), np.array(order))
+    def test_key_gradient_goes_back_through_inverse(self):
+        # the keys are gathered into canonical order; their gradient comes
+        # back in the caller's order, so shuffling the keys shuffles it
+        rng = np.random.default_rng(13)
+        weights = attention_weights(rng, 3, 4, 2)
+        q, kv = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 5, 3))
+        proj = Tensor(rng.normal(size=(2, 4, 2)))
+        perm = np.stack([rng.permutation(5) for _ in range(2)])
+
+        def key_grad(keys):
+            k = leaf(keys)
+            with GradTape() as tape:
+                loss = sum_all(mul(attend(Tensor(q), k, *weights, 2), proj))
+            backward(loss, tape)
+            return k.grad
+
+        shuffled = np.take_along_axis(kv, perm[..., None], axis=1)
+        assert np.array_equal(key_grad(shuffled),
+                              np.take_along_axis(key_grad(kv), perm[..., None], axis=1))
+
+    def test_leading_axes_must_match(self):
+        weights = attention_weights(np.random.default_rng(14), 4, 4, 4)
+        with pytest.raises(ShapeError, match="same leading axes"):
+            attend(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 3, 4))), *weights, 2)
+        with pytest.raises(ShapeError, match="do not split into 3 heads"):
+            attend(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), *weights, 3)
+        with pytest.raises(ShapeError, match="do not match weights"):
+            attend(Tensor(np.ones((3, 5))), Tensor(np.ones((3, 5))), *weights, 2)
+
+    def test_one_score_array_per_call(self):
+        # the probabilities overwrite the scores: 8 heads x 64 x 64 is 256 KiB
+        rng = np.random.default_rng(15)
+        x = Tensor(rng.normal(size=(64, 8)))
+        weights = attention_weights(rng, 8, 8, 8)
+        tracemalloc.start()
+        try:
+            attend(x, x, *weights, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 256 * 1024 <= peak < 2 * 256 * 1024
 
 
 class TestBroadcastTo:
@@ -344,6 +384,46 @@ class TestBackward:
         with pytest.raises(ContractError):
             backward(y, tape)
 
+    def test_replay_consumes_the_tape(self):
+        x, c = leaf([2.0, 3.0]), leaf([4.0, 5.0])
+        with GradTape() as tape:
+            hidden = mul(x, c)
+            loss = sum_all(add(hidden, x))
+        backward(loss, tape)
+        assert tape.nodes == [] and tape.replayed
+        assert hidden.grad is None and loss.grad is None
+        assert np.array_equal(x.grad, [5.0, 6.0])
+        assert np.array_equal(c.grad, [2.0, 3.0])
+
+    def test_second_replay_is_refused(self):
+        x = leaf([2.0, 3.0])
+        with GradTape() as tape:
+            loss = sum_all(mul(x, x))
+        backward(loss, tape)
+        with pytest.raises(ContractError, match="already been replayed"):
+            backward(loss, tape)
+        assert np.array_equal(x.grad, [4.0, 6.0])
+
+    @pytest.mark.parametrize("k", [4, 32])
+    def test_replay_memory_does_not_grow_with_the_chain(self, k):
+        # a chain of k elementwise ops on a 1 MB array: a replay that kept
+        # every intermediate gradient would peak k MB above its start
+        x = leaf(np.ones(131_072))
+        with GradTape() as tape:
+            y = x
+            for _ in range(k):
+                y = scale(y, 1.5)
+            loss = sum_all(y)
+        del y
+        tracemalloc.start()
+        try:
+            backward(loss, tape)
+            start, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        assert x.grad[0] == 1.5 ** k
+
 
 class TestMix:
     def test_equals_matmul(self):
@@ -382,18 +462,36 @@ class TestGradCheck:
         weights = Tensor(rng.normal(size=4))
         assert grad_check(lambda x: sum_all(mul(softmax_rows(x), weights)), probe).passed
 
-    def test_take_rows_100_instances(self):
+    def test_attend_100_instances(self):
+        # self and cross attention, 0-2 extra leading axes, Lq != Lk,
+        # duplicated key rows; the probe is each input in turn, and for
+        # self attention one tensor that is both query and keys
         rng = np.random.default_rng(10)
-        for _ in range(100):
-            lead = tuple(rng.integers(1, 4, size=rng.integers(0, 3)))
-            rows, width = rng.integers(1, 6), rng.integers(1, 4)
-            order = np.stack([rng.permutation(rows) for _ in range(int(np.prod(lead)))])
-            order = order.reshape(lead + (rows,))
-            proj = Tensor(rng.normal(size=lead + (rows, width)))
-            report = grad_check(lambda x: sum_all(mul(take_rows(x, order), proj)),
-                                Tensor(rng.normal(size=lead + (rows, width))),
-                                eps=1e-5, tol=1e-4)
-            assert report.passed, report.max_rel_error
+        for i in range(120):
+            probe, self_attention = i % 6, i % 6 == 5
+            lead = tuple(int(n) for n in rng.integers(1, 3, size=rng.integers(0, 3)))
+            n_heads, d = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+            dk, dv = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            lk = int(rng.integers(1, 5))
+            lq = lk if self_attention else int(rng.integers(1, 4))
+            kv = rng.normal(size=lead + (lk, d))
+            if lk > 1 and i % 4 == 0:
+                kv[..., 1, :] = kv[..., 0, :]
+            inputs = [rng.normal(size=lead + (lq, d)), kv,
+                      *(rng.normal(size=(d, n_heads * w)) for w in (dk, dk, dv))]
+            if self_attention:
+                inputs[0], probe = kv, 1
+            proj = Tensor(rng.normal(size=lead + (lq, n_heads * dv)))
+
+            def f(x):
+                args = [Tensor(a) for a in inputs]
+                args[probe] = x
+                if self_attention:
+                    args[0] = x
+                return sum_all(mul(attend(*args, n_heads), proj))
+
+            report = grad_check(f, Tensor(inputs[probe]), eps=1e-5, tol=1e-4)
+            assert report.passed, (i, report.max_rel_error)
 
     def test_broadcast_to_100_instances(self):
         rng = np.random.default_rng(12)
@@ -411,7 +509,7 @@ class TestGradCheck:
         for _ in range(100):
             shape = tuple(rng.integers(1, 5, size=rng.integers(1, 4)))
             proj = Tensor(rng.normal(size=shape))
-            report = grad_check(lambda x: sum_all(mul(softmax(x), proj)),
+            report = grad_check(lambda x: sum_all(mul(softmax_rows(x), proj)),
                                 Tensor(rng.normal(size=shape)), eps=1e-5, tol=1e-4)
             assert report.passed, report.max_rel_error
 

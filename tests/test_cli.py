@@ -285,6 +285,28 @@ class TestPredict:
                      "--origin", "0", "--out", str(tmp_path)]) == 2
 
 
+class TestCheckpointTarget:
+    """A data schema must name the target the checkpoint was trained on:
+    de-normalising with another channel's statistics is refused."""
+
+    @pytest.mark.parametrize("command, window", [
+        ("predict", ["--origin", "140"]),
+        ("evaluate", ["--start", "130", "--stride", "6"]),
+    ])
+    def test_other_target_is_usage_error(self, workspace, tmp_path, capsys, command, window):
+        text = (workspace / "synthetic.schema").read_text()
+        assert "target = Patv\n" in text
+        schema = tmp_path / "wspd.schema"
+        schema.write_text(text.replace("target = Patv\n", "target = Wspd\n"))
+        code = main([command, "--checkpoint", str(workspace / "run_out" / "checkpoint.bin"),
+                     "--data", str(workspace / "synthetic.csv"), "--schema", str(schema),
+                     *window, "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'Wspd'" in err and "'Patv'" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestEvaluate:
     def test_report_matches_library(self, workspace, tmp_path):
         ckpt_path = workspace / "run_out" / "checkpoint.bin"
@@ -420,6 +442,13 @@ MALFORMED_TMSTAMPS = st.one_of(
 )
 
 
+# small (turbine, step, value) tables with cells of every kind
+PLOT_CELL = st.one_of(st.integers(-2, 7).map(str), st.floats().map(repr),
+                      st.text(CELL_TEXT, max_size=6))
+PLOT_TABLES = st.lists(st.lists(PLOT_CELL, max_size=4), max_size=10).map(
+    lambda rows: "".join(",".join(cells) + "\n" for cells in [["turbine", "step", "v"], *rows]))
+
+
 # the workspace run config with its two required keys last: a truncation
 # then drops them (exit 2) instead of training for the default 50 epochs
 FUZZ_CONFIG = "".join(sorted(RUN_CONFIG.splitlines(keepends=True),
@@ -427,8 +456,9 @@ FUZZ_CONFIG = "".join(sorted(RUN_CONFIG.splitlines(keepends=True),
 
 
 class TestFuzzedInputs:
-    """Corrupted training and evaluation inputs end in a documented exit
-    code (0 ok, 2 usage, 3 file, 4 numerical), never in an exception."""
+    """Corrupted training, evaluation, prediction and plot inputs end in a
+    documented exit code (0 ok, 2 usage, 3 file, 4 numerical), never in an
+    exception."""
 
     @staticmethod
     def inputs(workspace) -> dict[str, bytes]:
@@ -461,6 +491,43 @@ class TestFuzzedInputs:
                      "--data", str(fuzz / "synthetic.csv"),
                      "--schema", str(fuzz / "synthetic.schema"),
                      "--start", "130", "--stride", "6", "--out", str(fuzz / "out")])
+        assert code in (0, 2, 3, 4)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_predict_on_corrupted_files(self, workspace, data):
+        name = data.draw(st.sampled_from(["synthetic.csv", "synthetic.schema", None]))
+        fuzz = self.fuzz_dir(workspace, name, data)
+        # the workspace grid has 160 timestamps and a history of 6
+        origin = data.draw(st.integers(-5, 170) | st.integers(), label="origin")
+        code = main(["predict", "--checkpoint", str(workspace / "run_out" / "checkpoint.bin"),
+                     "--data", str(fuzz / "synthetic.csv"),
+                     "--schema", str(fuzz / "synthetic.schema"),
+                     "--origin", str(origin), "--out", str(fuzz / "out")])
+        assert code in (0, 2, 3, 4)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_plot_on_malformed_tables(self, workspace, data):
+        fuzz = workspace / "fuzz_plot"
+        if not (fuzz / "forecast.csv").exists():
+            assert main(["predict",
+                         "--checkpoint", str(workspace / "run_out" / "checkpoint.bin"),
+                         "--data", str(workspace / "synthetic.csv"),
+                         "--schema", str(workspace / "synthetic.schema"),
+                         "--origin", "140", "--out", str(fuzz)]) == 0
+        args = []
+        for name in ("forecast", "truth"):
+            blob = (fuzz / f"{name}.csv").read_bytes()
+            kind = data.draw(st.sampled_from(["keep", "mutate", "table"]), label=name)
+            if kind == "mutate":
+                blob = mutate(data, blob)
+            elif kind == "table":
+                blob = data.draw(PLOT_TABLES, label=f"{name} table").encode()
+            (fuzz / f"fuzzed_{name}.csv").write_bytes(blob)
+            args += [f"--{name}", str(fuzz / f"fuzzed_{name}.csv")]
+        turbine = data.draw(st.integers(-1, 2) | st.integers(), label="turbine")
+        code = main(["plot", *args, "--turbine", str(turbine), "--out", str(fuzz / "x.svg")])
         assert code in (0, 2, 3, 4)
 
     @given(row=st.integers(1, 320), stamp=MALFORMED_TMSTAMPS)
