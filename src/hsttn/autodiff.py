@@ -65,6 +65,8 @@ class RngStream:
 
     def __init__(self, seed: int, _entropy: tuple[int, ...] | None = None):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         self._entropy = _entropy if _entropy is not None else (self.seed,)
         self._gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(self._entropy)))
 

@@ -151,7 +151,25 @@ def _load_and_prepare(data_path, schema_path) -> RecordSet:
     return mark_invalid(rs)
 
 
+def _mem_available() -> int | None:
+    """The kernel's MemAvailable in bytes, or None where it reports none."""
+    try:
+        with open("/proc/meminfo", encoding="ascii") as fh:
+            kib = [line.split()[1] for line in fh if line.startswith("MemAvailable:")]
+    except OSError:
+        return None
+    return int(kib[0]) * 1024 if kib else None
+
+
 def cmd_synth(args) -> int:
+    sizes = (args.turbines, args.timestamps, args.channels)
+    # synth_generate's peak: two (turbines, timestamps, channels) float64
+    # grids and eight (turbines, timestamps) ones
+    need = 8 * sizes[0] * sizes[1] * (2 * sizes[2] + 8) if min(sizes) > 0 else 0
+    available = _mem_available()
+    if available is not None and need > available:
+        raise UsageError(f"a synthetic farm of {' x '.join(map(str, sizes))} needs about "
+                         f"{need / 2**20:,.1f} MiB; {available / 2**20:,.1f} MiB is available")
     rs = synth_generate(args.turbines, args.timestamps, args.channels, args.seed,
                         noise_scale=args.noise)
     out = Path(args.out)
@@ -179,10 +197,11 @@ def cmd_train(args) -> int:
     splits = SplitBounds(cfg.train_end, cfg.val_end).ranges(rs.n_timestamps)
 
     stats = fit_zscore(rs, splits["train"])
-    normed = apply_zscore(rs, stats)
+    # the raw grid is dropped here, so training's peak does not hold it
+    rs = apply_zscore(rs, stats)
     h, f = cfg.history_len, cfg.horizon_len
-    train_windows = make_windows(normed, h, f, cfg.train_stride, *splits["train"])
-    val_windows = make_windows(normed, h, f, cfg.val_stride, *splits["val"])
+    train_windows = make_windows(rs, h, f, cfg.train_stride, *splits["train"])
+    val_windows = make_windows(rs, h, f, cfg.val_stride, *splits["val"])
 
     model = HSTTN(model_cfg, seed=cfg.seed)
     best, records = train(model, train_windows, val_windows, train_cfg,

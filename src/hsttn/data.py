@@ -137,20 +137,62 @@ class RecordSet:
 # seconds; a sign is let through so a negative field reads as out of range
 _TIME_OF_DAY = re.compile(r"(-?[0-9]{1,2}):(-?[0-9]{1,2})(?::00)?")
 
+# data rows `load_records` holds as text and parses at a time; larger
+# blocks were no faster and raised a small file's peak memory
+_BLOCK_ROWS = 1024
+_KEY_ERROR = "cannot parse turbine id, day, or time"
 
-def _parse_time(text: str, step_minutes: int, path, lineno: int) -> int:
+
+def _parse_key(text) -> int:
+    """A turbine id or a day; a short row's missing cell is None."""
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        raise ValueError(_KEY_ERROR) from None
+
+
+def _parse_time(text, step_minutes: int) -> int:
+    """The slot of a time of day; a `ValueError` says what is wrong with it."""
+    if text is None:
+        raise ValueError(_KEY_ERROR)
     match = _TIME_OF_DAY.fullmatch(text.strip())
     if match is None:
-        raise IngestError(f"{path}:{lineno}: cannot parse time of day {text!r}")
+        raise ValueError(f"cannot parse time of day {text!r}")
     hours, minutes = int(match[1]), int(match[2])
     if not (0 <= hours < 24 and 0 <= minutes < 60):
-        raise IngestError(f"{path}:{lineno}: time of day {text!r} is out of range")
+        raise ValueError(f"time of day {text!r} is out of range")
     minute_of_day = hours * 60 + minutes
     if minute_of_day % step_minutes != 0:
-        raise IngestError(
-            f"{path}:{lineno}: time {text!r} is not aligned to {step_minutes}-minute slots"
-        )
+        raise ValueError(f"time {text!r} is not aligned to {step_minutes}-minute slots")
     return minute_of_day // step_minutes
+
+
+def _key_column(cells, codes: dict, parsed: list, parse):
+    """Each cell's index into `parsed`, parsing only the texts `codes` has
+    not seen; or None and (row, message) for the first cell that fails."""
+    for text in dict.fromkeys(cells):
+        if text not in codes:
+            try:
+                parsed.append(parse(text))
+            except ValueError as exc:
+                return None, (cells.index(text), str(exc))
+            codes[text] = len(parsed) - 1
+    return np.fromiter(map(codes.__getitem__, cells), np.intp, len(cells)), None
+
+
+def _channel_column(cells, name: str):
+    """One channel's floats, NaN where a cell is empty or missing; or None
+    and (row, message) for the first cell that fails."""
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells)), None
+    except (TypeError, ValueError):  # an empty, missing or bad cell: walk the column
+        out = np.empty(len(cells))
+        for row, raw in enumerate((text or "").strip() for text in cells):
+            try:
+                out[row] = float(raw) if raw else np.nan
+            except ValueError:
+                return None, (row, f"cannot parse numeric value {raw!r} for channel {name!r}")
+        return out, None
 
 
 def csv_records(fh) -> Iterator[list[str]]:
@@ -173,7 +215,10 @@ def load_records(path, schema: Schema) -> RecordSet:
     its channels, each once. Missing (turbine, timestamp) rows and missing
     fields (short rows) become invalid cells; rows with more cells than the
     header, duplicates and unparseable numbers are errors, and so is a grid
-    of more than twice as many cells as there are data rows.
+    of more than twice as many cells as there are data rows. An error names
+    the earliest line at fault; within a line, the id, day and time first.
+    Each block of `_BLOCK_ROWS` rows is parsed a column at a time: each
+    distinct id, day and time text once, each channel in one `float` pass.
     """
     path = Path(path)
     with path.open(newline="", encoding="utf-8") as fh:
@@ -196,77 +241,79 @@ def load_records(path, schema: Schema) -> RecordSet:
             raise IngestError(f"{path}: column(s) {repeated} repeated in header")
         col = {name: header.index(name) for name in expected}
         width = len(header)
+        keys = [(col[schema.id_column], _parse_key), (col[schema.day_column], _parse_key),
+                (col[schema.time_column], lambda t: _parse_time(t, schema.step_minutes))]
+        codes, parsed = ({}, {}, {}), ([], [], [])  # per key column: text -> index, values
+        blocks, readings, rows, lines = [], [], [], []
 
-        rows = []
+        def parse_block():
+            columns = list(zip(*rows))
+            results = [_key_column(columns[ci], codes[k], parsed[k], parse)
+                       for k, (ci, parse) in enumerate(keys)]
+            results += [_channel_column(columns[col[name]], name) for name in schema.channels]
+            if failures := [(f[0], k, f[1]) for k, (_, f) in enumerate(results) if f]:
+                row, _, message = min(failures)
+                raise IngestError(f"{path}:{lines[row]}: {message}")
+            blocks.append((np.stack([a for a, _ in results[:3]], axis=1), np.array(lines)))
+            readings.append(np.stack([a for a, _ in results[3:]], axis=1))
+            rows.clear()
+            lines.clear()
+
         for lineno, cells in enumerate(reader, start=2):
-            if not cells or all(not c.strip() for c in cells):
+            if not any(map(str.strip, cells)):
                 continue
             if len(cells) > width:
+                if rows:  # an earlier line's fault is named first
+                    parse_block()
                 raise IngestError(
                     f"{path}:{lineno}: {len(cells)} cells but the header has {width} columns"
                 )
-            try:
-                turb = int(cells[col[schema.id_column]])
-                day = int(cells[col[schema.day_column]])
-                stamp = cells[col[schema.time_column]]
-            except (ValueError, IndexError):
-                raise IngestError(
-                    f"{path}:{lineno}: cannot parse turbine id, day, or time"
-                ) from None
-            slot = _parse_time(stamp, schema.step_minutes, path, lineno)
-            channel_values = np.full(len(schema.channels), np.nan)
-            valid = True
-            for ci, name in enumerate(schema.channels):
-                raw = cells[col[name]].strip() if col[name] < len(cells) else ""
-                if raw == "":
-                    valid = False
-                    continue
-                try:
-                    parsed = float(raw)
-                except ValueError:
-                    raise IngestError(
-                        f"{path}:{lineno}: cannot parse numeric value {raw!r} "
-                        f"for channel {name!r}"
-                    ) from None
-                if not np.isfinite(parsed):
-                    valid = False
-                channel_values[ci] = parsed
-            rows.append((turb, day, slot, channel_values, valid, lineno))
+            if len(cells) < width:
+                cells += [None] * (width - len(cells))
+            rows.append(cells)
+            lines.append(lineno)
+            if len(rows) == _BLOCK_ROWS:
+                parse_block()
+        if rows:
+            parse_block()
 
-    if not rows:
+    if not blocks:
         raise IngestError(f"{path}: no data rows")
-
-    turbine_ids = tuple(sorted({r[0] for r in rows}))
-    turb_index = {tid: i for i, tid in enumerate(turbine_ids)}
+    key_codes, line = (np.concatenate(part) for part in zip(*blocks))
+    ids, id_rank = np.unique(np.array(parsed[0], dtype=object), return_inverse=True)
+    days, day_rank = np.unique(np.array(parsed[1], dtype=object), return_inverse=True)
+    ni, day = id_rank[key_codes[:, 0]], day_rank[key_codes[:, 1]]
+    slot = np.array(parsed[2], dtype=np.int64)[key_codes[:, 2]]
     spd = schema.slots_per_day
-    abs_slots = [r[1] * spd + r[2] for r in rows]
-    first = min(range(len(rows)), key=abs_slots.__getitem__)
-    last = max(range(len(rows)), key=abs_slots.__getitem__)
-    t0, t1 = abs_slots[first], abs_slots[last]
-    n_t = t1 - t0 + 1
-    n = len(turbine_ids)
-    if n * n_t > 2 * len(rows):
+    # ranks, not days: ids and days are Python ints of any size
+    order = day * spd + slot
+    first, last = int(order.argmin()), int(order.argmax())
+    t0 = days[0] * spd + int(slot[first])
+    n_t = days[-1] * spd + int(slot[last]) - t0 + 1
+    n = len(ids)
+    if n * n_t > 2 * len(line):
         raise IngestError(
-            f"{path}: the earliest timestamp (line {rows[first][5]}) and the latest "
-            f"(line {rows[last][5]}) span {n_t} slots; {n} turbine(s) x {n_t} slots "
-            f"is more than twice the {len(rows)} data rows"
+            f"{path}: the earliest timestamp (line {line[first]}) and the latest "
+            f"(line {line[last]}) span {n_t} slots; {n} turbine(s) x {n_t} slots "
+            f"is more than twice the {len(line)} data rows"
         )
-    c = len(schema.channels)
-
-    values = np.full((n, n_t, c), np.nan)
-    validity = np.zeros((n, n_t), dtype=bool)
-    seen = np.zeros((n, n_t), dtype=bool)
-    for (turb, _day, _slot, channel_values, valid, lineno), t_abs in zip(rows, abs_slots):
-        ni, ti = turb_index[turb], t_abs - t0
-        if seen[ni, ti]:
-            raise IngestError(
-                f"{path}:{lineno}: duplicate record for turbine {turb} at timestamp {ti}"
-            )
-        seen[ni, ti] = True
-        values[ni, ti] = channel_values
-        validity[ni, ti] = valid
-    return RecordSet(schema=schema, values=values, validity=validity,
-                     turbine_ids=turbine_ids)
+    ti = (days - days[0]).astype(np.int64)[day] * spd + slot - slot[first]
+    cell = ni * n_t + ti
+    by_cell = np.argsort(cell, kind="stable")
+    again = by_cell[1:][cell[by_cell[1:]] == cell[by_cell[:-1]]]
+    if again.size:
+        r = again.min()
+        raise IngestError(
+            f"{path}:{line[r]}: duplicate record for turbine {ids[ni[r]]} at timestamp {ti[r]}"
+        )
+    values = np.full((n, n_t, len(schema.channels)), np.nan)
+    # a block at a time: a whole-file copy of the readings, freed at once,
+    # leaves the heap fragmented for what runs next (peak RSS in training)
+    cuts = np.cumsum([len(r) for r in readings[:-1]])
+    for vals, n_i, t_i in zip(readings, np.split(ni, cuts), np.split(ti, cuts)):
+        values[n_i, t_i] = vals
+    return RecordSet(schema=schema, values=values, validity=np.isfinite(values).all(axis=2),
+                     turbine_ids=tuple(ids.tolist()))
 
 
 def mark_invalid(rs: RecordSet) -> RecordSet:

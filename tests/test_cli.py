@@ -67,6 +67,21 @@ class TestSynth:
     def test_zero_timestamps_is_usage_error(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--timestamps", "0"]) == 2
 
+    def test_grid_beyond_available_memory_is_refused(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("hsttn.cli._mem_available", lambda: 2 ** 20)
+        # 8 bytes x 10 x 1000 x (2 x 5 + 8) is 1.4 MiB
+        assert main(["synth", "--out", str(tmp_path / "farm"), "--turbines", "10",
+                     "--timestamps", "1000"]) == 2
+        assert "10 x 1000 x 5 needs about 1.4 MiB; 1.0 MiB is available" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "farm").exists()
+        assert main(["synth", "--out", str(tmp_path / "farm"), "--turbines", "10",
+                     "--timestamps", "500"]) == 0
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path), "--seed", "-1"]) == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+
     def test_header_matches_schema(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--turbines", "2",
                      "--timestamps", "20", "--channels", "5", "--seed", "1"]) == 0
@@ -529,6 +544,22 @@ class TestFuzzedInputs:
         turbine = data.draw(st.integers(-1, 2) | st.integers(), label="turbine")
         code = main(["plot", *args, "--turbine", str(turbine), "--out", str(fuzz / "x.svg")])
         assert code in (0, 2, 3, 4)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_synth_arguments(self, workspace, data):
+        args = ["--out", str(workspace / "fuzz_synth")]
+        for name in ("turbines", "timestamps", "channels", "seed"):
+            if data.draw(st.booleans(), label=f"pass {name}"):
+                value = data.draw(st.integers(-2, 30) | st.integers(), label=name)
+                args.append(f"--{name}={value}")
+        if data.draw(st.booleans(), label="pass noise"):
+            args.append(f"--noise={data.draw(st.floats(), label='noise')!r}")
+        # any grid above 4 MiB is refused, so no draw allocates much
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("hsttn.cli._mem_available", lambda: 4 * 2 ** 20)
+            code = main(["synth", *args])
+        assert code in (0, 2)
 
     @given(row=st.integers(1, 320), stamp=MALFORMED_TMSTAMPS)
     @settings(max_examples=40, deadline=None)

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import numpy as np
@@ -183,6 +184,119 @@ class TestLoadRecords:
         ])
         with pytest.raises(IngestError, match="duplicate"):
             load_records(path, small_schema())
+
+
+def farm_rows(count):
+    """`count` good rows of turbine 1, one ten-minute slot apart."""
+    return [[1, 1 + i // 144, f"{i % 144 // 6:02d}:{i % 6}0", 5.0, 10.0, 100.0]
+            for i in range(count)]
+
+
+class TestBlockwiseLoad:
+    """Each block of rows is parsed column by column, yet every message names
+    the line a row-by-row reading would stop at."""
+
+    @pytest.fixture
+    def three_row_blocks(self, monkeypatch):
+        monkeypatch.setattr("hsttn.data._BLOCK_ROWS", 3)
+
+    def load_with_faults(self, tmp_path, faults):
+        """Load good rows with `faults` ({line: row}) put in place."""
+        rows = farm_rows(12)
+        for line, row in faults.items():
+            rows[line - 2] = row
+        path = tmp_path / "farm.csv"
+        write_rows(path, HEADER, rows)
+        load_records(path, small_schema())
+
+    @pytest.mark.parametrize("faults, message", [
+        # the channel fault sits in the first block, the id fault in the third
+        ({3: [1, 1, "00:10", 5.0, 10.0, "abc"], 9: ["x", 1, "01:00", 5.0, 10.0, 100.0]},
+         r"farm\.csv:3: cannot parse numeric value 'abc' for channel 'Patv'"),
+        # the block of lines 8-10: the time column is parsed first but its
+        # fault is later
+        ({8: [1, 1, "01:00", 5.0, "abc", 100.0], 9: [1, 1, "1:2:3", 5.0, 10.0, 100.0]},
+         r"farm\.csv:8: cannot parse numeric value 'abc' for channel 'Wdir'"),
+        # one row: its id, day and time come before its channels
+        ({5: [1, "y", "00:30", "abc", 10.0, 100.0], 13: [1, 1, "02:00", "abc", 10.0, 100.0]},
+         r"farm\.csv:5: cannot parse turbine id, day, or time"),
+        # a fault ahead of a wide row in its block is named, not the width
+        ({6: [1, 1, "00:40", 5.0, 10.0, 100.0, 77], 5: [1, 1, "00:31", 5.0, 10.0, 100.0]},
+         r"farm\.csv:5: time '00:31' is not aligned to 10-minute slots"),
+        ({4: [1, 1, "00:20", 5.0, 10.0, 100.0, 77], 12: [1, 1, "25:00", 5.0, 10.0, 100.0]},
+         r"farm\.csv:4: 7 cells but the header has 6 columns"),
+    ], ids=["across-blocks", "within-block", "within-row", "before-wide-row", "wide-row-first"])
+    def test_earliest_bad_line_is_named(self, tmp_path, three_row_blocks, faults, message):
+        with pytest.raises(IngestError, match=message):
+            self.load_with_faults(tmp_path, faults)
+
+    @pytest.mark.parametrize("short", [[1, 1], [1]])
+    def test_short_row_without_time_is_a_key_error(self, tmp_path, three_row_blocks, short):
+        # an empty time cell is a bad time; a missing one is a missing key
+        faults = {4: short, 11: [1, 1, "", 5.0, 10.0, 100.0]}
+        with pytest.raises(IngestError,
+                           match=r"farm\.csv:4: cannot parse turbine id, day, or time"):
+            self.load_with_faults(tmp_path, faults)
+        with pytest.raises(IngestError, match=r"farm\.csv:11: cannot parse time of day ''"):
+            self.load_with_faults(tmp_path, {11: faults[11]})
+
+    def test_duplicate_names_earliest_refilled_line(self, tmp_path, three_row_blocks):
+        # line 2's cell comes again at line 12, line 5's at line 9
+        rows = farm_rows(12)
+        rows[10], rows[7] = rows[0], rows[3]
+        path = tmp_path / "farm.csv"
+        write_rows(path, HEADER, rows)
+        with pytest.raises(IngestError, match=r"farm\.csv:9: duplicate record for turbine 1 "
+                                              r"at timestamp 3"):
+            load_records(path, small_schema())
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_is_bitwise(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 4), label="turbines")
+        t = data.draw(st.integers(1, 10), label="timestamps")
+        cell = st.floats(allow_nan=False) | st.sampled_from([np.nan, np.inf, -np.inf, -0.0])
+        values = data.draw(st.lists(cell, min_size=n * t * 3, max_size=n * t * 3))
+        values = np.array(values).reshape(n, t, 3)
+        # write_csv writes a valid cell's nan and inf as text and an invalid one's as ""
+        validity = np.array(data.draw(st.lists(st.booleans(), min_size=n * t,
+                                               max_size=n * t))).reshape(n, t)
+        ids = data.draw(st.lists(st.integers(0, 10 ** 30), min_size=n, max_size=n, unique=True))
+        rs = RecordSet(schema=small_schema(), values=values, validity=validity,
+                       turbine_ids=tuple(sorted(ids)))
+        path = tmp_path_factory.mktemp("round_trip") / "farm.csv"
+        write_csv(rs, path)
+        header, *lines = path.read_text().splitlines()
+        random.Random(data.draw(st.integers(0, 2 ** 32), label="shuffle")).shuffle(lines)
+        for _ in range(data.draw(st.integers(0, 3), label="blank lines")):
+            lines.insert(data.draw(st.integers(0, len(lines))),
+                         data.draw(st.sampled_from(["", " , ", ",,,,,"])))
+        path.write_text("\n".join([header, *lines]) + "\n")
+        expected = np.where(validity[..., None] | np.isfinite(values), values, np.nan)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("hsttn.data._BLOCK_ROWS", data.draw(st.integers(1, max(1, n * t - 1))))
+            loaded = load_records(path, rs.schema)
+        assert loaded.values.tobytes() == expected.tobytes()
+        assert np.array_equal(loaded.validity, np.isfinite(expected).all(axis=2))
+        assert loaded.turbine_ids == rs.turbine_ids
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path, monkeypatch):
+        """About 20k rows peak at 7 MB in blocks of 1,024 rows, at 14 MB in
+        blocks of 8,192 and at 31 MB when the whole file is transposed."""
+        rs = synth_generate(20, 1000, 13, seed=5)
+        path = tmp_path / "farm.csv"
+        write_csv(rs, path)
+        peaks = []
+        for whole_file in (False, True):
+            if whole_file:
+                monkeypatch.setattr("hsttn.data._BLOCK_ROWS", 10 ** 9)
+            tracemalloc.start()
+            try:
+                load_records(path, rs.schema)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 12_000_000 < peaks[1]
 
 
 class TestMarkInvalid:
