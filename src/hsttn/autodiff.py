@@ -1,14 +1,14 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
 Only the operations the forecasting model needs are implemented: batched
-matrix products, multi-head attention as one op, ReLU, channel-wise 1x1
-convolution, temporal max-pooling, stride-expanding transposed
-convolution, concatenation, dropout, broadcasting views, and a few
-elementwise helpers.
+matrix products, multi-head attention along any axis as one op, ReLU,
+channel-wise 1x1 convolution, temporal max-pooling, stride-expanding
+transposed convolution, concatenation, dropout, broadcasting views, and a
+few elementwise helpers.
 Forward values live in numpy arrays; gradients are accumulated on
 `Tensor.grad` by replaying a `GradTape` in reverse. The replay consumes
-the tape: each node, with the arrays it saved, is dropped as soon as its
-rule has run, and only leaf tensors keep a gradient afterwards.
+the tape: each node is dropped as its rule starts, and the arrays the
+rule saved once it has run; only leaf tensors keep a gradient afterwards.
 
 Sums run in the order their operands are stored. Turbine-permutation
 equivariance holds bitwise because `attend` puts every attended sequence
@@ -37,7 +37,6 @@ __all__ = [
     "matmul",
     "mix",
     "attend",
-    "permute",
     "reshape",
     "broadcast_to",
     "relu",
@@ -157,11 +156,10 @@ def _record(out: Tensor, inputs: Sequence[Tensor], rule) -> Tensor:
 def backward(loss: Tensor, tape: GradTape) -> None:
     """Populate `grad` on every requires_grad leaf reachable from `loss`.
 
-    The replay consumes the tape. It pops each node, runs its rule and
-    clears the node's output gradient, so intermediate arrays and
-    gradients are freed as the replay moves back through the graph; only
-    tensors that no recorded op produced keep their `grad`. A second
-    replay of the same tape raises `ContractError`.
+    The replay consumes the tape, popping and replaying one node at a
+    time, so intermediate arrays and gradients are freed as it moves back
+    through the graph; only tensors that no recorded op produced keep
+    their `grad`. A second replay of the same tape raises `ContractError`.
     """
     if tape.replayed:
         raise ContractError("this tape has already been replayed; record the computation again")
@@ -169,15 +167,22 @@ def backward(loss: Tensor, tape: GradTape) -> None:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     tape.replayed = True
     loss.accumulate_grad(np.ones((), dtype=np.float64))
-    nodes = tape.nodes
-    while nodes:
-        node = nodes.pop()
-        g, node.output.grad = node.output.grad, None
-        if g is None:
-            continue
-        for t, gi in zip(node.inputs, node.rule(g)):
-            if gi is None or not t.requires_grad:
-                continue
+    while tape.nodes:
+        _replay(tape.nodes.pop())
+
+
+def _replay(node: TapeNode) -> None:
+    """Run a node's rule and add its gradients to the node's inputs. The
+    node is dropped first, and with it its output unless a caller holds
+    it; the rule gets the only reference to the output's gradient, so it
+    can free that as it runs (CPython 3.11+ moves call arguments)."""
+    inputs, rule, pending = node.inputs, node.rule, [node.output.grad]
+    node.output.grad = None
+    del node
+    if pending[0] is None:
+        return
+    for t, gi in zip(inputs, rule(pending.pop())):
+        if gi is not None and t.requires_grad:
             t.accumulate_grad(gi)
 
 
@@ -288,48 +293,47 @@ def mix(weights: Tensor, values: Tensor) -> Tensor:
     return _record(out, (weights, values), rule)
 
 
-def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, n_heads: int,
-           probs: list | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention up to, not including, the
-    output projection, as one op: (..., Lq, d) queries attend to the
-    (..., Lk, d) key/value rows at the same leading index, and the result
-    is the heads' contexts side by side, (..., Lq, n_heads * dv).
+def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
+           n_heads: int, axis: int = -2, probs: list | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention with its output projection
+    `wo`, as one op. Sequences run along `axis`: each index of the other
+    leading axes holds a query sequence (Lq, d) and a key/value sequence
+    (Lk, d), and the result is the query's shape with `wo`'s width.
 
-    The key/value rows are first gathered into a canonical order, a
+    The op swaps `axis` with the last-but-one as a view, computes in that
+    sequence layout and swaps the result and the input gradients back.
+    The key/value rows are gathered into a canonical order, a
     lexicographic sort of their float64 bit patterns, so rows tie only
-    when they are bitwise identical and every sum over keys runs in the
-    same order however the caller numbered them. The forward projects
-    q = query @ wq / sqrt(dk), k = rows @ wk and v = rows @ wv, and turns
-    the scores q @ k^T into probabilities in place, so one (..., heads,
-    Lq, Lk) array exists per call. The op saves the query, the gathered
-    rows, q, k, v and each score row's max and normaliser, never the
-    probabilities; the backward recomputes them from those, bitwise equal
-    to the forward's. A `probs` list receives the probabilities with the
-    keys in the caller's order.
+    when bitwise identical and every sum over keys runs in one order
+    however the caller numbered them. The forward projects q = query @ wq
+    / sqrt(dk), k = rows @ wk and v = rows @ wv, and turns the scores
+    q @ k^T into probabilities in place, so one (..., heads, Lq, Lk) array
+    exists per call. The op saves the query, the rows, q, k, v, the heads'
+    contexts and each score row's max and normaliser, never the
+    probabilities: the backward recomputes them bitwise. A `probs` list
+    receives them in sequence layout, keys in the caller's order.
     """
-    lead = query.shape[:-2]
-    if query.ndim < 2 or keys.ndim != query.ndim or keys.shape[:-2] != lead:
-        raise ShapeError(
-            f"attention needs (..., L, d) inputs with the same leading axes, "
-            f"got {query.shape} and {keys.shape}"
-        )
+    nd = query.ndim
+    fits = nd >= 2 and keys.ndim == nd and axis != -1 and axis in range(-nd, nd - 1)
+    x_query, x_keys = (np.swapaxes(t.data, axis, -2) if fits else t.data for t in (query, keys))
+    lead = x_query.shape[:-2]
+    if not fits or x_keys.shape[:-2] != lead:
+        raise ShapeError(f"attention along axis {axis} needs (..., L, d) inputs with the same "
+                         f"leading axes, got {query.shape} and {keys.shape}")
     if (wq.ndim != 2 or wq.shape != wk.shape or wv.ndim != 2 or wq.shape[0] != wv.shape[0]
-            or wq.shape[1] % n_heads or wv.shape[1] % n_heads):
-        raise ShapeError(
-            f"attention weights {wq.shape}, {wk.shape}, {wv.shape} do not split into "
-            f"{n_heads} heads"
-        )
+            or wq.shape[1] % n_heads or wv.shape[1] % n_heads
+            or wo.ndim != 2 or wo.shape[0] != wv.shape[1]):
+        raise ShapeError(f"attention weights {wq.shape}, {wk.shape}, {wv.shape}, {wo.shape} "
+                         f"do not split into {n_heads} heads")
     if query.shape[-1] != wq.shape[0] or keys.shape[-1] != wq.shape[0]:
-        raise ShapeError(
-            f"attention inputs {query.shape} and {keys.shape} do not match weights {wq.shape}"
-        )
-    n = len(lead)
-    lq = query.shape[-2]
-    dk = wq.shape[1] // n_heads
-    dv = wv.shape[1] // n_heads
+        raise ShapeError(f"attention inputs {query.shape} and {keys.shape} do not match "
+                         f"weights {wq.shape}")
+    n, lq = len(lead), x_query.shape[-2]
+    dk, dv = wq.shape[1] // n_heads, wv.shape[1] // n_heads
     # (..., L, heads, width) <-> (..., heads, L, width); its own inverse
     heads_first = (*range(n), n + 1, n, n + 2)
     last_two = (*range(n + 1), n + 2, n + 1)
+    axes = list(range(n + 1))
     c = 1.0 / math.sqrt(dk)
 
     def split_heads(a: np.ndarray, width: int) -> np.ndarray:
@@ -338,9 +342,9 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, n_he
     def merge_heads(a: np.ndarray) -> np.ndarray:
         return np.transpose(a, heads_first).reshape(lead + (-1, n_heads * a.shape[-1]))
 
-    order = np.lexsort(np.moveaxis(keys.data.view(np.int64), -1, 0), axis=-1)
-    rows = np.take_along_axis(keys.data, order[..., None], axis=-2)
-    q_proj = np.matmul(query.data, wq.data)
+    order = np.lexsort(np.moveaxis(x_keys.view(np.int64), -1, 0), axis=-1)
+    rows = np.take_along_axis(x_keys, order[..., None], axis=-2)
+    q_proj = np.matmul(x_query, wq.data)
     q_proj *= c
     k_proj = np.matmul(rows, wk.data)
     v_proj = np.matmul(rows, wv.data)
@@ -352,13 +356,23 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, n_he
         inverse = np.argsort(order, axis=-1)[..., None, None, :]
         probs.append(np.take_along_axis(p, inverse, axis=-1))
     ctx = np.transpose(np.matmul(p, v), heads_first).reshape(lead + (lq, n_heads * dv))
-    out = Tensor(ctx, _requires(query, keys, wq, wk, wv))
+    del p
+    out = Tensor(np.swapaxes(np.matmul(ctx, wo.data), axis, -2),
+                 _requires(query, keys, wq, wk, wv, wo))
+    # self-attention along a swapped axis gives its input one gradient, the
+    # query's plus the keys', the sum order that checkpoints were trained in
+    merged = query is keys and axis % nd != nd - 2
 
     def rule(g):
         # Each product runs on the same array layouts as in the forward, and
         # the rows' gradient adds the v path before the k path: another
         # layout or order changes the last bits of every trained checkpoint.
-        g_ctx = np.transpose(g.reshape(lead + (lq, n_heads, dv)), heads_first)
+        nonlocal ctx
+        g = np.swapaxes(g, axis, -2)
+        g_ctx = np.matmul(g, wo.data.T)
+        g_wo = np.tensordot(ctx, g, axes=(axes, axes))
+        del g, ctx  # each the size of the output, freed before the attention products
+        g_ctx = np.transpose(g_ctx.reshape(lead + (lq, n_heads, dv)), heads_first)
         p = np.matmul(q, k_t)
         _softmax_in_place(p, stats)
         g_v = np.matmul(np.swapaxes(p, -1, -2), g_ctx)
@@ -367,7 +381,6 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, n_he
         g_q = np.matmul(g_p, np.swapaxes(k_t, -1, -2))
         g_k = np.transpose(np.matmul(np.swapaxes(q, -1, -2), g_p), last_two)
         del g_p
-        axes = list(range(n + 1))
         g_v, g_k = merge_heads(g_v), merge_heads(g_k)
         g_rows = np.matmul(g_v, wv.data.T)
         g_wv = np.tensordot(rows, g_v, axes=(axes, axes))
@@ -375,21 +388,16 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, n_he
         g_wk = np.tensordot(rows, g_k, axes=(axes, axes))
         g_q = merge_heads(g_q) * c
         g_query = np.matmul(g_q, wq.data.T)
-        g_wq = np.tensordot(query.data, g_q, axes=(axes, axes))
+        g_wq = np.tensordot(x_query, g_q, axes=(axes, axes))
         inverse = np.argsort(order, axis=-1)
         g_keys = np.take_along_axis(g_rows, inverse[..., None], axis=-2)
-        return g_query, g_keys, g_wq, g_wk, g_wv
+        if merged:
+            g_query, g_keys = g_query + g_keys, None
+        else:
+            g_keys = np.swapaxes(g_keys, axis, -2)
+        return np.swapaxes(g_query, axis, -2), g_keys, g_wq, g_wk, g_wv, g_wo
 
-    return _record(out, (query, keys, wq, wk, wv), rule)
-
-
-def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    if sorted(axes) != list(range(a.ndim)):
-        raise ShapeError(f"permutation {axes} is invalid for shape {a.shape}")
-    inv = np.argsort(axes)
-    out = Tensor(np.transpose(a.data, axes), a.requires_grad)
-    return _record(out, (a,), lambda g: (np.transpose(g, inv),))
+    return _record(out, (query, keys, wq, wk, wv, wo), rule)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:

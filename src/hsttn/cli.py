@@ -433,7 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         _setup_logging()
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse's --help (0) or usage error (2)
+            return exc.code
         # a non-finite loss, gradient or prediction ends in its own `error:`
         # line, so numpy's floating-point warnings would only precede it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -30,7 +30,6 @@ from .autodiff import (
     dropout,
     matmul,
     maxpool1d,
-    permute,
     pointwise_conv,
     relu,
     reshape,
@@ -220,9 +219,9 @@ class ModelParameters:
 
 @dataclass
 class ScaleTrace:
-    """Observable record of one forward pass: per-scale sequence lengths
-    and (optionally) attention weights, (..., heads, Lq, Lk) per call with
-    keys in the caller's order."""
+    """Observable record of one forward pass: per-scale sequence lengths and
+    (optionally) attention weights per call in its sequence layout, keys in the
+    caller's order: (W, N, heads, L, L) for `tem`, (W, L, heads, N, N) for `spa`."""
 
     collect_probs: bool = False
     encoder_lengths: list[int] = field(default_factory=list)
@@ -250,30 +249,33 @@ class AttentionWeights:
                    store.glorot(f"{prefix}.wv", (d, v)), store.glorot(f"{prefix}.wo", (v, d)))
 
 
+# The axis of a turbine-major (..., N, L, d) map that each branch attends
+# along: time within each turbine, or turbines within each timestep.
+_AXIS = {"tem": -2, "spa": -3}
+
+
 def attention(
     query_seqs: Tensor,
     kv_seqs: Tensor,
     weights: AttentionWeights,
     n_heads: int,
     trace: ScaleTrace | None = None,
+    branch: str = "tem",
 ) -> Tensor:
-    """Scaled dot-product attention with `n_heads` heads along axis -2.
-
-    Inputs are (..., L, d): every index of the leading axes is one
-    independent sequence, and queries from `query_seqs` attend to the
-    keys/values of `kv_seqs` at the same leading index. Everything up to
-    the heads' concatenated contexts is one fused op, `autodiff.attend`:
-    it sums over keys in a canonical order of the key/value rows (a sort
-    of their float64 bit patterns), so permuting the key/value rows leaves
-    the output bitwise unchanged and permuting the query rows permutes
-    it. It keeps only the gathered rows, the q/k/v projections and each
-    score row's max and normaliser for its backward, which recomputes the
-    probabilities. The output projection `wo` is a plain `matmul`. A trace
-    that collects probabilities records them in the caller's key order.
+    """Scaled dot-product attention with `n_heads` heads along the
+    sequences of `branch`, output projection included: in a turbine-major
+    (..., N, L, d) map, `tem` attends along time within each turbine (axis
+    -2) and `spa` along turbines within each timestep (axis -3). Queries
+    attend to the keys/values of `kv_seqs` at the same index of the other
+    axes. It is one fused op, `autodiff.attend`, which sums over keys
+    in a canonical order of the key/value rows (a sort of their float64
+    bit patterns): permuting the key/value rows leaves the output bitwise
+    unchanged, and permuting the query rows permutes it. A trace that
+    collects probabilities records them in the call's sequence layout.
     """
     probs = trace.attention_probs if trace is not None and trace.collect_probs else None
-    ctx = attend(query_seqs, kv_seqs, weights.wq, weights.wk, weights.wv, n_heads, probs)
-    return matmul(ctx, weights.wo)
+    return attend(query_seqs, kv_seqs, weights.wq, weights.wk, weights.wv, weights.wo,
+                  n_heads, _AXIS[branch], probs)
 
 
 def _fuse_maps(spa_map: Tensor, tem_map: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -287,16 +289,6 @@ def _fuse_maps(spa_map: Tensor, tem_map: Tensor, w: Tensor, b: Tensor) -> Tensor
 # that both branches read and the fusion block joins; the unfused variants
 # keep one map per branch.
 _BRANCHES = {"st": ("tem", "spa"), "tem": ("tem",), "spa": ("spa",)}
-
-
-def _view(branch: str, m: Tensor) -> Tensor:
-    """The sequences `branch` attends along: a turbine-major (..., N, L, d)
-    map is per-turbine time for `tem` and, swapped to (..., L, N, d),
-    per-timestep turbines for `spa`. The swap is its own inverse."""
-    if branch != "spa":
-        return m
-    n = m.ndim
-    return permute(m, (*range(n - 3), n - 2, n - 3, n - 1))
 
 
 def _residual(m: Tensor, maps: list[Tensor], fuse: tuple[Tensor, Tensor] | None) -> Tensor:
@@ -330,11 +322,8 @@ class EncoderLayer:
                  ) -> dict[str, Tensor]:
         out = {}
         for key, m in state.items():
-            maps = []
-            for branch in _BRANCHES[key]:
-                v = _view(branch, m)
-                a = attention(v, v, getattr(self, branch), self.cfg.n_heads, trace)
-                maps.append(_view(branch, a))
+            maps = [attention(m, m, getattr(self, branch), self.cfg.n_heads, trace, branch)
+                    for branch in _BRANCHES[key]]
             out[key] = _residual(m, maps, self.fuse)
         return out
 
@@ -367,11 +356,9 @@ class DecoderLayer:
                 )
             maps = []
             for branch in _BRANCHES[key]:
-                v = _view(branch, m)
-                s = attention(v, v, getattr(self, f"{branch}_self"), n_heads, trace)
-                c = attention(s, _view(branch, enc), getattr(self, f"{branch}_cross"),
-                              n_heads, trace)
-                maps.append(_view(branch, add(c, s)))
+                s = attention(m, m, getattr(self, f"{branch}_self"), n_heads, trace, branch)
+                c = attention(s, enc, getattr(self, f"{branch}_cross"), n_heads, trace, branch)
+                maps.append(add(c, s))
             out[key] = _residual(m, maps, self.fuse)
         return out
 

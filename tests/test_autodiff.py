@@ -21,7 +21,6 @@ from hsttn.autodiff import (
     maxpool1d,
     mix,
     mul,
-    permute,
     pointwise_conv,
     relu,
     reshape,
@@ -98,9 +97,9 @@ class TestSoftmax:
         # `attend` normalises over keys in canonical order, `softmax_rows` in sorted order
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 9, 4))
-        wq, wk, wv = (Tensor(rng.normal(size=(4, 4))) for _ in range(3))
+        wq, wk, wv, wo = (Tensor(rng.normal(size=(4, 4))) for _ in range(4))
         probs = []
-        attend(Tensor(x), Tensor(x), wq, wk, wv, 1, probs)
+        attend(Tensor(x), Tensor(x), wq, wk, wv, wo, 1, probs=probs)
         scores = (x @ wq.data / 2.0) @ np.swapaxes(x @ wk.data, -1, -2)
         out = probs[0][:, 0]
         assert np.allclose(out, softmax_rows(Tensor(scores)).data, rtol=0, atol=1e-14)
@@ -111,22 +110,23 @@ class TestSoftmax:
             softmax_rows(Tensor(1.0))
 
 
-def attention_weights(rng, d: int, width_qk: int, width_v: int):
-    return tuple(Tensor(rng.normal(size=(d, w)), requires_grad=True)
-                 for w in (width_qk, width_qk, width_v))
+def attention_weights(rng, d: int, width_qk: int, width_v: int, d_out: int | None = None):
+    """wq, wk, wv and wo, the output projection back to `d_out` (default d)."""
+    shapes = ((d, width_qk), (d, width_qk), (d, width_v), (width_v, d_out or d))
+    return tuple(Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes)
 
 
 class TestAttend:
     def test_single_head_hand_example(self):
         # one query attending to two scalar keys: probabilities by hand
         q, kv = np.array([[1.0]]), np.array([[2.0], [-1.0]])
-        wq, wk, wv = Tensor([[0.5]]), Tensor([[1.5]]), Tensor([[3.0]])
+        wq, wk, wv, wo = Tensor([[0.5]]), Tensor([[1.5]]), Tensor([[3.0]]), Tensor([[-2.0]])
         probs = []
-        out = attend(Tensor(q), Tensor(kv), wq, wk, wv, 1, probs).data
+        out = attend(Tensor(q), Tensor(kv), wq, wk, wv, wo, 1, probs=probs).data
         scores = 0.5 * 1.5 * kv[:, 0]
         p = np.exp(scores - scores.max()) / np.exp(scores - scores.max()).sum()
         assert np.allclose(probs[0], p[None, None, :], rtol=0, atol=1e-15)
-        assert out.item() == pytest.approx(p @ (3.0 * kv[:, 0]), abs=1e-14)
+        assert out.item() == pytest.approx(-2.0 * (p @ (3.0 * kv[:, 0])), abs=1e-14)
 
     def test_key_gradient_goes_back_through_inverse(self):
         # the keys are gathered into canonical order; their gradient comes
@@ -134,7 +134,7 @@ class TestAttend:
         rng = np.random.default_rng(13)
         weights = attention_weights(rng, 3, 4, 2)
         q, kv = rng.normal(size=(2, 4, 3)), rng.normal(size=(2, 5, 3))
-        proj = Tensor(rng.normal(size=(2, 4, 2)))
+        proj = Tensor(rng.normal(size=(2, 4, 3)))
         perm = np.stack([rng.permutation(5) for _ in range(2)])
 
         def key_grad(keys):
@@ -156,6 +156,42 @@ class TestAttend:
             attend(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), *weights, 3)
         with pytest.raises(ShapeError, match="do not match weights"):
             attend(Tensor(np.ones((3, 5))), Tensor(np.ones((3, 5))), *weights, 2)
+        with pytest.raises(ShapeError, match="do not split into 2 heads"):
+            attend(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 4))), *weights[:3],
+                   Tensor(np.ones((3, 4))), 2)
+        for axis in (-1, 2, -4):
+            with pytest.raises(ShapeError, match="attention along axis"):
+                attend(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((2, 3, 4))), *weights, 2,
+                       axis=axis)
+
+    @pytest.mark.parametrize("self_attention", [False, True])
+    def test_axis_is_a_swap_of_the_inputs(self, self_attention):
+        # attending along axis -3 is bitwise the same call along -2 on the
+        # swapped inputs: output, the query and key gradients and all four
+        # weight gradients
+        rng = np.random.default_rng(17)
+        weights = attention_weights(rng, 4, 6, 4, d_out=3)
+        query = rng.normal(size=(2, 5, 3, 4))
+        keys = query if self_attention else rng.normal(size=(2, 7, 3, 4))
+        proj = rng.normal(size=(2, 5, 3, 3))
+
+        def run(query, keys, proj, axis):
+            ws = [leaf(w.data) for w in weights]
+            q = leaf(query)
+            k = q if self_attention else leaf(keys)
+            with GradTape() as tape:
+                out = attend(q, k, *ws, 2, axis=axis)
+                loss = sum_all(mul(out, Tensor(proj)))
+            backward(loss, tape)
+            return out.data, q.grad, k.grad, [w.grad for w in ws]
+
+        out, g_query, g_keys, g_weights = run(query, keys, proj, -3)
+        swapped = run(*(np.swapaxes(a, -3, -2) for a in (query, keys, proj)), -2)
+        assert np.array_equal(out, np.swapaxes(swapped[0], -3, -2))
+        assert np.array_equal(g_query, np.swapaxes(swapped[1], -3, -2))
+        assert np.array_equal(g_keys, np.swapaxes(swapped[2], -3, -2))
+        for got, want in zip(g_weights, swapped[3]):
+            assert np.array_equal(got, want)
 
     def test_one_score_array_per_call(self):
         # the probabilities overwrite the scores: 8 heads x 64 x 64 is 256 KiB
@@ -424,6 +460,26 @@ class TestBackward:
         assert peak < 4 * 2**20
         assert x.grad[0] == 1.5 ** k
 
+    def test_replay_frees_attention_output_gradient_and_context(self):
+        # 256 sequences of 32 steps: the attention output, its gradient and
+        # the heads' contexts are 1 MiB each, the probabilities 2 MiB. The
+        # rule's peak is 6 MiB above the recorded tape while it holds none
+        # of the three once used, and 7 MiB if any one stays alive
+        rng = np.random.default_rng(16)
+        x = leaf(rng.normal(size=(256, 32, 2)) / 4)
+        weights = attention_weights(rng, 2, 1, 16, d_out=16)
+        tracemalloc.start()
+        try:
+            with GradTape() as tape:
+                loss = sum_all(attend(x, x, *weights, 1))
+            recorded = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss, tape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - recorded < 6.5 * 2**20
+
 
 class TestMix:
     def test_equals_matmul(self):
@@ -464,31 +520,37 @@ class TestGradCheck:
 
     def test_attend_100_instances(self):
         # self and cross attention, 0-2 extra leading axes, Lq != Lk,
-        # duplicated key rows; the probe is each input in turn, and for
-        # self attention one tensor that is both query and keys
+        # duplicated key rows; inputs of rank 3 or more attend along axis -2
+        # or, every other round of probes, -3. The probe is each input in
+        # turn (query, keys, wq, wk, wv, wo), and for self attention one
+        # tensor that is both query and keys
         rng = np.random.default_rng(10)
-        for i in range(120):
-            probe, self_attention = i % 6, i % 6 == 5
+        for i in range(140):
+            probe, self_attention = i % 7, i % 7 == 6
             lead = tuple(int(n) for n in rng.integers(1, 3, size=rng.integers(0, 3)))
+            axis = -3 if lead and i // 7 % 2 else -2
             n_heads, d = int(rng.integers(1, 3)), int(rng.integers(1, 4))
-            dk, dv = int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            dk, dv, d_out = (int(n) for n in rng.integers(1, 3, size=3))
             lk = int(rng.integers(1, 5))
             lq = lk if self_attention else int(rng.integers(1, 4))
             kv = rng.normal(size=lead + (lk, d))
             if lk > 1 and i % 4 == 0:
                 kv[..., 1, :] = kv[..., 0, :]
+            # drawn in sequence layout, (..., L, d), then swapped to the caller's
             inputs = [rng.normal(size=lead + (lq, d)), kv,
-                      *(rng.normal(size=(d, n_heads * w)) for w in (dk, dk, dv))]
+                      *(rng.normal(size=(d, n_heads * w)) for w in (dk, dk, dv)),
+                      rng.normal(size=(n_heads * dv, d_out))]
             if self_attention:
                 inputs[0], probe = kv, 1
-            proj = Tensor(rng.normal(size=lead + (lq, n_heads * dv)))
+            inputs[:2] = (np.swapaxes(a, axis, -2) for a in inputs[:2])
+            proj = Tensor(np.swapaxes(rng.normal(size=lead + (lq, d_out)), axis, -2))
 
             def f(x):
                 args = [Tensor(a) for a in inputs]
                 args[probe] = x
                 if self_attention:
                     args[0] = x
-                return sum_all(mul(attend(*args, n_heads), proj))
+                return sum_all(mul(attend(*args, n_heads, axis=axis), proj))
 
             report = grad_check(f, Tensor(inputs[probe]), eps=1e-5, tol=1e-4)
             assert report.passed, (i, report.max_rel_error)
@@ -560,11 +622,10 @@ class TestTensorInvariants:
         assert np.all(np.isfinite(softmax_rows(Tensor(a)).data))
         assert np.all(np.isfinite(relu(Tensor(a)).data))
 
-    def test_permute_reshape_roundtrip(self):
+    def test_reshape_roundtrip(self):
         x = leaf(np.arange(24.0).reshape(2, 3, 4))
         with GradTape() as tape:
-            y = permute(x, (2, 0, 1))
-            z = reshape(y, (4, 6))
+            z = reshape(x, (4, 6))
             loss = sum_all(mul(z, z))
         backward(loss, tape)
         assert np.allclose(x.grad, 2 * x.data)

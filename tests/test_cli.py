@@ -647,6 +647,26 @@ class TestPlot:
                      "--turbine", "0", "--out", str(tmp_path / "x.svg")]) == 2
 
 
+class TestArguments:
+    @pytest.mark.parametrize("args, code", [
+        (["synth", "--noise", "-1e+16"], 2),  # argparse reads the value as an option
+        (["train"], 2),
+        (["--bogus"], 2),
+        (["--help"], 0),
+        (["synth", "--help"], 0),
+    ])
+    def test_argparse_exit_is_returned(self, tmp_path, capsys, args, code):
+        if args[0] == "synth" and "--help" not in args:
+            args = [*args, "--out", str(tmp_path)]
+        assert main(args) == code
+        out = capsys.readouterr()
+        assert "usage: hsttn" in (out.err if code else out.out)
+
+    def test_negative_exponent_value_in_equals_form(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path), "--timestamps", "10",
+                     "--noise=-1e+16"]) == 0
+
+
 class TestLogging:
     def test_bad_verbosity_is_usage_error(self, monkeypatch, tmp_path):
         monkeypatch.setenv("HSTTN_LOG", "shout")
