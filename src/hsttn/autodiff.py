@@ -33,7 +33,6 @@ __all__ = [
     "RngStream",
     "add",
     "mul",
-    "scale",
     "matmul",
     "mix",
     "attend",
@@ -224,12 +223,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _record(out, (a, b), rule)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c, a.requires_grad)
-    return _record(out, (a,), lambda g: (g * c,))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

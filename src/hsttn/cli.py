@@ -23,7 +23,6 @@ import numpy as np
 from . import checkpoint as ckpt_io
 from .data import (
     RecordSet,
-    SampleWindow,
     Schema,
     SplitBounds,
     apply_zscore,
@@ -33,6 +32,7 @@ from .data import (
     make_windows,
     mark_invalid,
     synth_generate,
+    window_at,
     write_csv,
 )
 from .errors import (
@@ -40,7 +40,6 @@ from .errors import (
     ContractError,
     DatasetError,
     EvaluationError,
-    HsttnError,
     IngestError,
     ShapeError,
     TrainingError,
@@ -58,16 +57,12 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 
 
-class UsageError(HsttnError):
-    pass
-
-
 def _setup_logging() -> None:
     level_name = os.environ.get("HSTTN_LOG", "warning").lower()
     levels = {"debug": logging.DEBUG, "info": logging.INFO,
               "warning": logging.WARNING, "quiet": logging.CRITICAL}
     if level_name not in levels:
-        raise UsageError(f"HSTTN_LOG must be one of {sorted(levels)}, got {level_name!r}")
+        raise ConfigError(f"HSTTN_LOG must be one of {sorted(levels)}, got {level_name!r}")
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
 
 
@@ -168,8 +163,8 @@ def cmd_synth(args) -> int:
     need = 8 * sizes[0] * sizes[1] * (2 * sizes[2] + 8) if min(sizes) > 0 else 0
     available = _mem_available()
     if available is not None and need > available:
-        raise UsageError(f"a synthetic farm of {' x '.join(map(str, sizes))} needs about "
-                         f"{need / 2**20:,.1f} MiB; {available / 2**20:,.1f} MiB is available")
+        raise ConfigError(f"a synthetic farm of {' x '.join(map(str, sizes))} needs about "
+                          f"{need / 2**20:,.1f} MiB; {available / 2**20:,.1f} MiB is available")
     rs = synth_generate(args.turbines, args.timestamps, args.channels, args.seed,
                         noise_scale=args.noise)
     out = Path(args.out)
@@ -218,21 +213,19 @@ def cmd_train(args) -> int:
 
 
 def _restore(checkpoint_path, data_path, schema_path):
-    if not Path(checkpoint_path).exists():
-        raise IngestError(f"checkpoint not found: {checkpoint_path}")
     ckpt = ckpt_io.load_checkpoint(checkpoint_path)
     rs = _load_and_prepare(data_path, schema_path)
     if ckpt.schema is not None and ckpt.schema.channels != rs.schema.channels:
-        raise UsageError(
+        raise ConfigError(
             "dataset channels do not match the channels this checkpoint was trained on"
         )
     if ckpt.schema is not None and ckpt.schema.target != rs.schema.target:
-        raise UsageError(
+        raise ConfigError(
             f"dataset target {rs.schema.target!r} differs from the target "
             f"{ckpt.schema.target!r} this checkpoint was trained on"
         )
     if rs.n_turbines != ckpt.model_config.n_turbines:
-        raise UsageError(
+        raise ConfigError(
             f"dataset has {rs.n_turbines} turbines but the checkpoint was trained "
             f"on {ckpt.model_config.n_turbines}"
         )
@@ -243,28 +236,16 @@ def _restore(checkpoint_path, data_path, schema_path):
 
 def cmd_predict(args) -> int:
     ckpt, rs, normed, model = _restore(args.checkpoint, args.data, args.schema)
-    h = ckpt.model_config.history_len
-    f = ckpt.model_config.horizon_len
-    origin = args.origin
-    if origin < h:
-        raise UsageError(
-            f"origin {origin} does not leave {h} history steps before it"
-        )
-    if origin > rs.n_timestamps:
-        raise UsageError(f"origin {origin} is beyond the dataset ({rs.n_timestamps})")
+    cfg = ckpt.model_config
     target = rs.target_index
-    # the future is cut short where the horizon runs past the data
-    future = slice(origin, origin + f)
-    window = SampleWindow(history=normed.values[:, origin - h:origin, :],
-                          future_target=normed.values[:, future, target:target + 1],
-                          future_validity=normed.validity[:, future], origin=origin)
+    window = window_at(normed, cfg.history_len, cfg.horizon_len, args.origin)
     pred = predict_window(model, window, ckpt.norm_stats, target)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_table(out / "forecast.csv", ["turbine", "step", "predicted_power"],
                  ([n, k, repr(float(v))] for (n, k), v in np.ndenumerate(pred)))
-    wrote_truth = window.future_validity.shape[1] == f
+    wrote_truth = window.future_validity.shape[1] == cfg.horizon_len
     if wrote_truth:
         truth = ckpt.norm_stats.invert(window.future_target[:, :, 0], target)
         _write_table(out / "truth.csv", ["turbine", "step", "actual_power", "valid"],
@@ -332,11 +313,11 @@ def cmd_plot(args) -> int:
     forecast = _read_grid(args.forecast)
     truth = _read_grid(args.truth)
     if set(forecast) != set(truth):
-        raise UsageError("forecast and truth files cover different (turbine, step) grids")
+        raise ConfigError("forecast and truth files cover different (turbine, step) grids")
     turbines = sorted({t for t, _ in forecast})
     steps = sorted({k for _, k in forecast})
     if args.turbine not in turbines:
-        raise UsageError(f"--turbine {args.turbine} not in file (has {turbines})")
+        raise ConfigError(f"--turbine {args.turbine} not in file (has {turbines})")
 
     pred = [forecast[(args.turbine, k)] for k in steps]
     actual = [truth[(args.turbine, k)] for k in steps]
@@ -441,7 +422,7 @@ def main(argv=None) -> int:
         # line, so numpy's floating-point warnings would only precede it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.fn(args)
-    except (UsageError, ConfigError, ShapeError, ContractError) as exc:
+    except (ConfigError, ShapeError, ContractError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

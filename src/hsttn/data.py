@@ -420,17 +420,23 @@ def make_windows(rs: RecordSet, history_len: int, horizon_len: int, stride: int,
             f"(history {history_len} + horizon {horizon_len})"
         )
     count = (total - span) // stride + 1
+    return [window_at(rs, history_len, horizon_len, start + i * stride + history_len)
+            for i in range(count)]
+
+
+def window_at(rs: RecordSet, history_len: int, horizon_len: int, origin: int) -> SampleWindow:
+    """The window whose first forecast step is `origin`, as views of the
+    grid; a future that runs past the data is cut short. An origin with
+    fewer than H steps before it, or beyond the data, is a `ConfigError`."""
+    if origin < history_len:
+        raise ConfigError(f"origin {origin} does not leave {history_len} history steps before it")
+    if origin > rs.n_timestamps:
+        raise ConfigError(f"origin {origin} is beyond the dataset ({rs.n_timestamps})")
     target = rs.target_index
-    windows = []
-    for i in range(count):
-        a = start + i * stride
-        windows.append(SampleWindow(
-            history=rs.values[:, a:a + history_len, :],
-            future_target=rs.values[:, a + history_len:a + span, target:target + 1],
-            future_validity=rs.validity[:, a + history_len:a + span],
-            origin=a + history_len,
-        ))
-    return windows
+    future = slice(origin, origin + horizon_len)
+    return SampleWindow(history=rs.values[:, origin - history_len:origin, :],
+                        future_target=rs.values[:, future, target:target + 1],
+                        future_validity=rs.validity[:, future], origin=origin)
 
 
 def drop_fully_invalid(windows: Sequence[SampleWindow]) -> list[SampleWindow]:

@@ -10,7 +10,9 @@ class ShapeError(HsttnError):
 
 
 class ConfigError(HsttnError):
-    """A configuration value violates a documented invariant."""
+    """A configuration or command-line value violates a documented invariant:
+    a config key, a forecast origin or plotted turbine outside the data, an
+    `HSTTN_LOG` level, or a dataset that differs from its checkpoint."""
 
 
 class ContractError(HsttnError):

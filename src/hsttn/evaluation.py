@@ -30,6 +30,28 @@ class MetricReport:
     unit: str = "kW"
     n_windows: int = 0
 
+    @classmethod
+    def from_sums(cls, abs_sum: np.ndarray, sq_sum: np.ndarray, count: np.ndarray,
+                  unit: str, n_windows: int) -> "MetricReport":
+        """The farm metrics of per-turbine error sums and valid counts."""
+        if count.sum() == 0:
+            raise EvaluationError("no valid cells in the evaluation set")
+        included = count > 0
+        mae_n = np.full(len(count), np.nan)
+        rmse_n = np.full(len(count), np.nan)
+        mae_n[included] = abs_sum[included] / count[included]
+        rmse_n[included] = np.sqrt(sq_sum[included] / count[included])
+        return cls(
+            mae=float(mae_n[included].sum()),
+            rmse=float(rmse_n[included].sum()),
+            per_turbine_mae=mae_n,
+            per_turbine_rmse=rmse_n,
+            valid_counts=count,
+            excluded_turbines=[int(i) for i in np.flatnonzero(~included)],
+            unit=unit,
+            n_windows=n_windows,
+        )
+
     def to_kv(self) -> dict[str, str]:
         return {
             "mae": repr(float(self.mae)),
@@ -54,38 +76,11 @@ class MetricReport:
         return rows
 
 
-class _Accumulator:
-    """Streaming per-turbine error sums; order of windows does not matter."""
-
-    def __init__(self, n_turbines: int):
-        self.abs_sum = np.zeros(n_turbines)
-        self.sq_sum = np.zeros(n_turbines)
-        self.count = np.zeros(n_turbines, dtype=np.int64)
-
-    def add(self, y: np.ndarray, y_hat: np.ndarray, mask: np.ndarray) -> None:
-        err = np.where(mask, y - y_hat, 0.0)
-        self.abs_sum += np.abs(err).sum(axis=1)
-        self.sq_sum += (err * err).sum(axis=1)
-        self.count += mask.sum(axis=1)
-
-    def report(self, unit: str, n_windows: int) -> MetricReport:
-        if self.count.sum() == 0:
-            raise EvaluationError("no valid cells in the evaluation set")
-        included = self.count > 0
-        mae_n = np.full(len(self.count), np.nan)
-        rmse_n = np.full(len(self.count), np.nan)
-        mae_n[included] = self.abs_sum[included] / self.count[included]
-        rmse_n[included] = np.sqrt(self.sq_sum[included] / self.count[included])
-        return MetricReport(
-            mae=float(mae_n[included].sum()),
-            rmse=float(rmse_n[included].sum()),
-            per_turbine_mae=mae_n,
-            per_turbine_rmse=rmse_n,
-            valid_counts=self.count.copy(),
-            excluded_turbines=[int(i) for i in np.flatnonzero(~included)],
-            unit=unit,
-            n_windows=n_windows,
-        )
+def _error_sums(y: np.ndarray, y_hat: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-turbine absolute-error sum, squared-error sum and valid count of
+    (N, S) targets and predictions over the cells `mask` marks valid."""
+    err = np.where(mask, y - y_hat, 0.0)
+    return np.abs(err).sum(axis=1), (err * err).sum(axis=1), mask.sum(axis=1)
 
 
 def _masked_report(y: np.ndarray, y_hat: np.ndarray, mask: np.ndarray) -> MetricReport:
@@ -101,9 +96,7 @@ def _masked_report(y: np.ndarray, y_hat: np.ndarray, mask: np.ndarray) -> Metric
     mask = mask.reshape(n, -1)
     if mask.shape != y.shape:
         raise EvaluationError(f"mask shape {mask.shape} does not match samples {y.shape}")
-    acc = _Accumulator(n)
-    acc.add(y, y_hat, mask)
-    return acc.report("native", 0)
+    return MetricReport.from_sums(*_error_sums(y, y_hat, mask), "native", 0)
 
 
 def masked_mae(y: np.ndarray, y_hat: np.ndarray, mask: np.ndarray) -> float:
@@ -133,12 +126,14 @@ def _evaluate(windows: Sequence[SampleWindow], forecast: Callable[[SampleWindow]
     if not windows:
         raise EvaluationError("evaluation over an empty window set")
     divisor = 1000.0 if megawatts else 1.0
-    acc = _Accumulator(windows[0].history.shape[0])
+    n = windows[0].history.shape[0]
+    sums = (np.zeros(n), np.zeros(n), np.zeros(n, dtype=np.int64))
     for w in windows:
         pred = forecast(w) / divisor
         truth = stats.invert(w.future_target[:, :, 0], target_channel) / divisor
-        acc.add(truth, pred, w.future_validity)
-    return acc.report("MW" if megawatts else "kW", len(windows))
+        for total, part in zip(sums, _error_sums(truth, pred, w.future_validity)):
+            total += part
+    return MetricReport.from_sums(*sums, "MW" if megawatts else "kW", len(windows))
 
 
 def evaluate_model(model: HSTTN, windows: Sequence[SampleWindow], stats: NormStats,

@@ -10,7 +10,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import GradTape, RngStream, Tensor, add, backward, mul, scale, sum_all
+from .autodiff import GradTape, RngStream, Tensor, add, backward, mul, sum_all
 from .data import NormStats, SampleWindow, Schema, drop_fully_invalid
 from .errors import ConfigError, DatasetError, TrainingError
 from .model import HSTTN, ModelConfig
@@ -63,7 +63,7 @@ def mse_loss(y_hat: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:
         raise TrainingError("loss over a window with zero valid positions "
                             "(it should have been dropped upstream)")
     weights = mask / (counts[..., None, None] * counts.size)
-    diff = add(y_hat, scale(Tensor(y), -1.0))
+    diff = add(y_hat, Tensor(-y))
     return sum_all(mul(mul(diff, diff), Tensor(weights[..., None])))
 
 
@@ -128,13 +128,14 @@ class Checkpoint:
     schema: Schema | None = None
 
 
-def _stack_windows(windows: Sequence[SampleWindow]
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Histories, targets and validity of `windows` stacked along a new
-    leading window axis: (B, N, H, C), (B, N, F, 1) and (B, N, F)."""
-    return (np.stack([w.history for w in windows]),
-            np.stack([w.future_target for w in windows]),
-            np.stack([w.future_validity for w in windows]))
+def _batch_loss(model: HSTTN, windows: Sequence[SampleWindow], training: bool = False,
+                rng: RngStream | None = None) -> Tensor:
+    """`mse_loss` of one forward pass over `windows`, stacked along a new
+    leading window axis."""
+    y_hat = model.forward(Tensor(np.stack([w.history for w in windows])),
+                          training=training, rng=rng)
+    return mse_loss(y_hat, np.stack([w.future_target for w in windows]),
+                    np.stack([w.future_validity for w in windows]))
 
 
 def validation_loss(model: HSTTN, windows: Sequence[SampleWindow],
@@ -147,9 +148,7 @@ def validation_loss(model: HSTTN, windows: Sequence[SampleWindow],
     total = 0.0
     for lo in range(0, len(windows), batch_size):
         chunk = windows[lo:lo + batch_size]
-        x, target, validity = _stack_windows(chunk)
-        y_hat = model.forward(Tensor(x))
-        total += float(mse_loss(y_hat, target, validity).data) * len(chunk)
+        total += float(_batch_loss(model, chunk).data) * len(chunk)
     return total / len(windows)
 
 
@@ -195,12 +194,10 @@ def train(model: HSTTN, train_windows: Sequence[SampleWindow],
         epoch_loss = 0.0
         n_batches = 0
         for lo in range(0, len(order), cfg.batch_size):
-            x, target, validity = _stack_windows(
-                [train_windows[i] for i in order[lo:lo + cfg.batch_size]])
+            batch = [train_windows[i] for i in order[lo:lo + cfg.batch_size]]
             model.params.zero_grad()
             with GradTape() as tape:
-                y_hat = model.forward(Tensor(x), training=True, rng=dropout_rng)
-                loss = mse_loss(y_hat, target, validity)
+                loss = _batch_loss(model, batch, training=True, rng=dropout_rng)
                 if not np.isfinite(loss.data):
                     raise TrainingError(
                         f"training loss diverged at epoch {epoch}, batch {n_batches}"

@@ -24,7 +24,6 @@ from hsttn.autodiff import (
     pointwise_conv,
     relu,
     reshape,
-    scale,
     softmax_rows,
     sum_all,
     upconv1d,
@@ -448,7 +447,7 @@ class TestBackward:
         with GradTape() as tape:
             y = x
             for _ in range(k):
-                y = scale(y, 1.5)
+                y = mul(y, Tensor(1.5))
             loss = sum_all(y)
         del y
         tracemalloc.start()

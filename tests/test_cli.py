@@ -293,6 +293,37 @@ class TestPredict:
             for k in range(6):
                 assert got[(n, k)] == expected[n, k]
 
+    @staticmethod
+    def predict_at(workspace, out, origin) -> int:
+        return main(["predict", "--checkpoint", str(workspace / "run_out" / "checkpoint.bin"),
+                     "--data", str(workspace / "synthetic.csv"),
+                     "--schema", str(workspace / "synthetic.schema"),
+                     "--origin", str(origin), "--out", str(out)])
+
+    def test_horizon_past_the_data_writes_no_truth(self, workspace, tmp_path):
+        # 160 timestamps and F = 6: the horizon from 157 runs 3 steps past them
+        assert self.predict_at(workspace, tmp_path, 157) == 0
+        with (tmp_path / "forecast.csv").open() as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert sorted((int(r[0]), int(r[1])) for r in rows) == [
+            (n, k) for n in range(2) for k in range(6)]
+        assert not (tmp_path / "truth.csv").exists()
+
+    def test_last_full_horizon_writes_truth(self, workspace, tmp_path):
+        assert self.predict_at(workspace, tmp_path, 160 - 6) == 0
+        ckpt = load_checkpoint(workspace / "run_out" / "checkpoint.bin")
+        schema = Schema.load(workspace / "synthetic.schema")
+        normed = apply_zscore(mark_invalid(load_records(workspace / "synthetic.csv", schema)),
+                              ckpt.norm_stats)
+        target = schema.target_index
+        actual = ckpt.norm_stats.invert(normed.values[:, 154:, target], target)
+        with (tmp_path / "truth.csv").open() as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["turbine", "step", "actual_power", "valid"]
+        got = {(int(r[0]), int(r[1])): (float(r[2]), int(r[3])) for r in rows}
+        assert got == {(n, k): (actual[n, k], int(normed.validity[n, 154 + k]))
+                       for n in range(2) for k in range(6)}
+
     def test_origin_at_start_is_usage_error(self, workspace, tmp_path):
         assert main(["predict", "--checkpoint", str(workspace / "run_out" / "checkpoint.bin"),
                      "--data", str(workspace / "synthetic.csv"),

@@ -19,6 +19,7 @@ from hsttn.data import (
     make_windows,
     mark_invalid,
     synth_generate,
+    window_at,
     write_csv,
 )
 from hsttn.errors import ConfigError, DatasetError, IngestError
@@ -458,6 +459,32 @@ class TestWindows:
         assert np.array_equal(w.history[0, -1], rs.values[0, w.origin - 1])
         assert np.array_equal(w.future_target[0, 0, 0],
                               rs.values[0, w.origin, rs.target_index])
+
+    def test_every_window_is_a_view_at_its_origin(self):
+        rs = synth_generate(2, 40, 3, seed=14)
+        for w in make_windows(rs, 6, 5, 4, start=3):
+            assert np.shares_memory(w.history, rs.values)
+            assert np.shares_memory(w.future_target, rs.values)
+            assert np.shares_memory(w.future_validity, rs.validity)
+            at = window_at(rs, 6, 5, w.origin)
+            assert at.origin == w.origin
+            assert np.array_equal(at.history, w.history)
+            assert np.array_equal(at.future_target, w.future_target)
+            assert np.array_equal(at.future_validity, w.future_validity)
+
+    def test_window_at_cuts_the_future_at_the_end_of_the_data(self):
+        rs = synth_generate(2, 40, 3, seed=15)
+        w = window_at(rs, 6, 5, 37)
+        assert w.history.shape == (2, 6, 3)
+        assert w.future_target.shape == (2, 3, 1)
+        assert w.future_validity.shape == (2, 3)
+        assert window_at(rs, 6, 5, 40).future_validity.shape == (2, 0)
+
+    @pytest.mark.parametrize("origin", [5, 41])
+    def test_window_at_outside_the_data_is_config_error(self, origin):
+        rs = synth_generate(1, 40, 2, seed=16)
+        with pytest.raises(ConfigError, match=f"origin {origin}"):
+            window_at(rs, 6, 5, origin)
 
     def test_drop_fully_invalid(self):
         rs = synth_generate(1, 40, 2, seed=13)

@@ -7,6 +7,8 @@ from hsttn.data import NormStats, SampleWindow, apply_zscore, fit_zscore, make_w
     synth_generate
 from hsttn.errors import EvaluationError
 from hsttn.evaluation import (
+    MetricReport,
+    _error_sums,
     evaluate_model,
     evaluate_persistence,
     masked_mae,
@@ -115,20 +117,14 @@ class TestMetricProperties:
         rng = np.random.default_rng(4)
         y, y_hat = rng.normal(size=(5, 20)), rng.normal(size=(5, 20))
         mask = np.ones((5, 20), dtype=bool)
-        from hsttn.evaluation import _Accumulator
-        acc = _Accumulator(5)
-        acc.add(y, y_hat, mask)
-        report = acc.report("kW", 1)
+        report = MetricReport.from_sums(*_error_sums(y, y_hat, mask), "kW", 1)
         assert np.all(report.per_turbine_rmse >= report.per_turbine_mae - 1e-12)
 
     def test_turbine_with_no_valid_cells_is_excluded_and_reported(self):
         y = np.ones((2, 4))
         y_hat = np.zeros((2, 4))
         mask = np.array([[True] * 4, [False] * 4])
-        from hsttn.evaluation import _Accumulator
-        acc = _Accumulator(2)
-        acc.add(y, y_hat, mask)
-        report = acc.report("kW", 1)
+        report = MetricReport.from_sums(*_error_sums(y, y_hat, mask), "kW", 1)
         assert report.excluded_turbines == [1]
         assert report.mae == pytest.approx(1.0)
         assert np.isnan(report.per_turbine_mae[1])
@@ -177,12 +173,12 @@ class TestEvaluateModel:
                 raise NotImplementedError
 
         # feed each window's truth back as the prediction
-        from hsttn.evaluation import _Accumulator
-        acc = _Accumulator(2)
+        sums = (np.zeros(2), np.zeros(2), np.zeros(2, dtype=np.int64))
         for w in self.windows:
             truth = self.stats.invert(w.future_target[:, :, 0], target)
-            acc.add(truth, truth, w.future_validity)
-        report = acc.report("kW", len(self.windows))
+            for total, part in zip(sums, _error_sums(truth, truth, w.future_validity)):
+                total += part
+        report = MetricReport.from_sums(*sums, "kW", len(self.windows))
         assert report.mae == 0.0 and report.rmse == 0.0
 
     def test_megawatt_scaling(self):

@@ -1,3 +1,6 @@
+import importlib
+import importlib.util
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -5,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+BENCH = SCRIPTS.parent / "bench"
 
 
 @pytest.mark.parametrize("script", ["run_synth_experiment.py", "run_variant_sweep.py"])
@@ -24,3 +28,51 @@ def test_every_exported_name_resolves():
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (module.__name__, missing)
         assert len(set(module.__all__)) == len(module.__all__)
+
+
+def _bench_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_call_log_names_resolve():
+    # the benchmark times every `CallLog.CALLS` entry; a renamed function
+    # would only show as a failed benchmark run
+    for module, name in _bench_tracer().CallLog.CALLS:
+        value = getattr(importlib.import_module(f"hsttn.{module}"), name, None)
+        assert inspect.isfunction(value), f"hsttn.{module}.{name}"
+
+
+def test_benchmark_tracer_hooks_exist():
+    from hsttn import autodiff, model
+    assert inspect.isfunction(model.attention)
+    assert inspect.isfunction(autodiff.backward)
+    for cls, name in [(model.EncoderLayer, "__call__"), (model.DecoderLayer, "__call__"),
+                      (model.HSTTN, "forward"), (model.HSTTN, "regress"),
+                      (model.ModelParameters, "items"),
+                      (autodiff.GradTape, "__enter__"), (autodiff.GradTape, "__exit__")]:
+        assert inspect.isfunction(vars(cls).get(name)), f"{cls.__name__}.{name}"
+
+
+def test_evaluate_model_predicts_once_per_window_through_the_module(monkeypatch):
+    # the benchmark counts windows by wrapping `evaluation.predict_window`
+    from hsttn import evaluation
+    from hsttn.data import apply_zscore, fit_zscore, make_windows, synth_generate
+    from hsttn.model import HSTTN, ModelConfig
+    rs = synth_generate(2, 60, 3, seed=1)
+    stats = fit_zscore(rs, (0, 40))
+    windows = make_windows(apply_zscore(rs, stats), 6, 6, 5, start=30)
+    model = HSTTN(ModelConfig(n_turbines=2, history_len=6, horizon_len=6, n_channels=3,
+                              d_model=4, n_heads=2, pool_factors=(3,)), seed=0)
+    calls = []
+    predict = evaluation.predict_window
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "predict_window", counted)
+    evaluation.evaluate_model(model, windows, stats, rs.target_index)
+    assert len(windows) > 1 and len(calls) == len(windows)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsttn.autodiff import GradTape, Tensor, add, backward, scale
+from hsttn.autodiff import GradTape, Tensor, add, backward, mul
 from hsttn.data import apply_zscore, fit_zscore, make_windows, synth_generate
 from hsttn.errors import ConfigError, DatasetError, TrainingError
 from hsttn.model import HSTTN, ModelConfig
@@ -275,7 +275,7 @@ class TestTrainLoop:
                 for x, y, mask in losses:
                     wl = mse_loss(model.forward(Tensor(x)), y, mask)
                     total = wl if total is None else add(total, wl)
-                backward(scale(total, 1.0 / len(losses)), tape)
+                backward(mul(total, Tensor(1.0 / len(losses))), tape)
             return {k: p.grad.copy() for k, p in params.items()}
 
         batched = gradients([(np.stack([w.history for w in batch]),
