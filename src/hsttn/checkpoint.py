@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 
 from .container import read_container, write_container
 from .data import NormStats, Schema
-from .errors import ConfigError, IngestError
+from .errors import ConfigError, ContractError, IngestError
 from .kv import FIELD_TYPES, parse_fields
 from .model import HSTTN, ModelConfig
 from .training import Checkpoint, TrainConfig
@@ -59,9 +59,14 @@ def load_checkpoint(path) -> Checkpoint:
         )
     params = {name[len("param."):]: arr for name, arr in arrays.items()
               if name.startswith("param.")}
-    return Checkpoint(model_config=config, parameters=params, epoch=epoch,
+    ckpt = Checkpoint(model_config=config, parameters=params, epoch=epoch,
                       val_loss=float(val_loss), norm_stats=NormStats(mean=norm[0], std=norm[1]),
                       train_config=train_config, schema=schema)
+    try:  # the arrays must fit the architecture the header describes
+        model_from_checkpoint(ckpt)
+    except ContractError as exc:
+        raise IngestError(f"{path}: checkpoint {exc}") from None
+    return ckpt
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> HSTTN:

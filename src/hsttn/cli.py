@@ -14,7 +14,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import Field, dataclass, field, fields, replace
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
@@ -76,25 +76,22 @@ _FILE_KEY = {"dropout_rate": "dropout", "initial_lr": "lr"}
 class RunConfig:
     """Everything one training run needs, parsed from a flat config file.
 
-    The keys are the fields below plus every other ModelConfig and
-    TrainConfig field, with the same defaults, except the dataset-derived
+    The keys are the fields below plus every ModelConfig and TrainConfig
+    field, with the same defaults, except the dataset-derived
     `n_turbines`/`n_channels` and the head widths `d_k`/`d_v`. The file
     spells `dropout_rate` as `dropout` and `initial_lr` as `lr`. Unknown
-    keys are refused.
+    keys are refused, and so are values either config refuses.
     """
 
     data: Path
     schema: Path
     train_end: int = 0
     val_end: int = 0
-    history_len: int = 144
-    horizon_len: int = 144
-    seed: int = 0
     train_stride: int = 1
     val_stride: int = 1
     out_dir: Path = Path("runs/out")
     model: dict = field(default_factory=dict)
-    training: dict = field(default_factory=dict)
+    training: TrainConfig = field(default_factory=TrainConfig)
 
     @classmethod
     def _file_keys(cls) -> dict[str, tuple[str | None, Field]]:
@@ -102,7 +99,7 @@ class RunConfig:
         keys = {f.name: (None, f) for f in fields(cls) if f.name not in ("model", "training")}
         for section, source in (("model", ModelConfig), ("training", TrainConfig)):
             for f in fields(source):
-                if f.name not in keys and f.name not in _NOT_IN_FILE:
+                if f.name not in _NOT_IN_FILE:
                     keys[_FILE_KEY.get(f.name, f.name)] = (section, f)
         return keys
 
@@ -114,19 +111,17 @@ class RunConfig:
         for key, value in parse_fields(path, read_kv(path), fields_by_key).items():
             section, f = keys[key]
             (values[section] if section else values)[f.name] = value
+        values["training"] = TrainConfig(**values["training"])
         cfg = cls(**values)
+        # the dataset-derived dims are checked once the data is loaded
+        cfg.model_config(n_turbines=1, n_channels=1)
         base = Path(path).parent
         cfg.data, cfg.schema = (base / cfg.data).resolve(), (base / cfg.schema).resolve()
         cfg.out_dir = base / cfg.out_dir
         return cfg
 
     def model_config(self, n_turbines: int, n_channels: int) -> ModelConfig:
-        return ModelConfig(n_turbines=n_turbines, n_channels=n_channels,
-                           history_len=self.history_len, horizon_len=self.horizon_len,
-                           **self.model)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(seed=self.seed, **self.training)
+        return ModelConfig(n_turbines=n_turbines, n_channels=n_channels, **self.model)
 
 
 def _write_table(path, header: list[str], rows) -> None:
@@ -137,13 +132,7 @@ def _write_table(path, header: list[str], rows) -> None:
 
 
 def _load_and_prepare(data_path, schema_path) -> RecordSet:
-    if not Path(schema_path).exists():
-        raise IngestError(f"schema file not found: {schema_path}")
-    if not Path(data_path).exists():
-        raise IngestError(f"data file not found: {data_path}")
-    schema = Schema.load(schema_path)
-    rs = load_records(data_path, schema)
-    return mark_invalid(rs)
+    return mark_invalid(load_records(data_path, Schema.load(schema_path)))
 
 
 def _mem_available() -> int | None:
@@ -165,8 +154,9 @@ def cmd_synth(args) -> int:
     if available is not None and need > available:
         raise ConfigError(f"a synthetic farm of {' x '.join(map(str, sizes))} needs about "
                           f"{need / 2**20:,.1f} MiB; {available / 2**20:,.1f} MiB is available")
-    rs = synth_generate(args.turbines, args.timestamps, args.channels, args.seed,
-                        noise_scale=args.noise)
+    # `args` has `noise` only when --noise is given; else synth_generate's default holds
+    noise = {"noise_scale": args.noise} if "noise" in args else {}
+    rs = synth_generate(args.turbines, args.timestamps, args.channels, args.seed, **noise)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(rs, out / "synthetic.csv")
@@ -182,11 +172,7 @@ def cmd_train(args) -> int:
     if args.out:
         cfg.out_dir = Path(args.out)
     if args.seed is not None:
-        cfg.seed = args.seed
-    # both configs check themselves before the data is read; the
-    # dataset-derived dims are checked once the data is loaded
-    train_cfg = cfg.train_config()
-    cfg.model_config(n_turbines=1, n_channels=1)
+        cfg.training = replace(cfg.training, seed=args.seed)
     rs = _load_and_prepare(cfg.data, cfg.schema)
     model_cfg = cfg.model_config(rs.n_turbines, rs.n_channels)
     splits = SplitBounds(cfg.train_end, cfg.val_end).ranges(rs.n_timestamps)
@@ -194,12 +180,12 @@ def cmd_train(args) -> int:
     stats = fit_zscore(rs, splits["train"])
     # the raw grid is dropped here, so training's peak does not hold it
     rs = apply_zscore(rs, stats)
-    h, f = cfg.history_len, cfg.horizon_len
+    h, f = model_cfg.history_len, model_cfg.horizon_len
     train_windows = make_windows(rs, h, f, cfg.train_stride, *splits["train"])
     val_windows = make_windows(rs, h, f, cfg.val_stride, *splits["val"])
 
-    model = HSTTN(model_cfg, seed=cfg.seed)
-    best, records = train(model, train_windows, val_windows, train_cfg,
+    model = HSTTN(model_cfg, seed=cfg.training.seed)
+    best, records = train(model, train_windows, val_windows, cfg.training,
                           stats, schema=rs.schema)
 
     out = Path(cfg.out_dir)
@@ -230,14 +216,13 @@ def _restore(checkpoint_path, data_path, schema_path):
             f"on {ckpt.model_config.n_turbines}"
         )
     model = ckpt_io.model_from_checkpoint(ckpt)
-    normed = apply_zscore(rs, ckpt.norm_stats)
-    return ckpt, rs, normed, model
+    return ckpt, apply_zscore(rs, ckpt.norm_stats), model
 
 
 def cmd_predict(args) -> int:
-    ckpt, rs, normed, model = _restore(args.checkpoint, args.data, args.schema)
+    ckpt, normed, model = _restore(args.checkpoint, args.data, args.schema)
     cfg = ckpt.model_config
-    target = rs.target_index
+    target = normed.target_index
     window = window_at(normed, cfg.history_len, cfg.horizon_len, args.origin)
     pred = predict_window(model, window, ckpt.norm_stats, target)
 
@@ -257,11 +242,11 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ckpt, rs, normed, model = _restore(args.checkpoint, args.data, args.schema)
+    ckpt, normed, model = _restore(args.checkpoint, args.data, args.schema)
     h = ckpt.model_config.history_len
     f = ckpt.model_config.horizon_len
     windows = make_windows(normed, h, f, args.stride, args.start, args.end)
-    report = evaluate_model(model, windows, ckpt.norm_stats, rs.target_index,
+    report = evaluate_model(model, windows, ckpt.norm_stats, normed.target_index,
                             megawatts=args.mw)
 
     out = Path(args.out)
@@ -373,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timestamps", type=int, default=2000)
     p.add_argument("--channels", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--noise", type=float, default=0.1)
+    p.add_argument("--noise", type=float, default=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_synth)
 
     p = sub.add_parser("train", help="train from a run config file")

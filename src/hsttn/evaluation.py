@@ -33,7 +33,8 @@ class MetricReport:
     @classmethod
     def from_sums(cls, abs_sum: np.ndarray, sq_sum: np.ndarray, count: np.ndarray,
                   unit: str, n_windows: int) -> "MetricReport":
-        """The farm metrics of per-turbine error sums and valid counts."""
+        """The farm metrics of per-turbine error sums and valid counts; a
+        non-finite farm MAE or RMSE is an `EvaluationError`."""
         if count.sum() == 0:
             raise EvaluationError("no valid cells in the evaluation set")
         included = count > 0
@@ -41,9 +42,12 @@ class MetricReport:
         rmse_n = np.full(len(count), np.nan)
         mae_n[included] = abs_sum[included] / count[included]
         rmse_n[included] = np.sqrt(sq_sum[included] / count[included])
+        mae, rmse = float(mae_n[included].sum()), float(rmse_n[included].sum())
+        if not np.isfinite([mae, rmse]).all():
+            raise EvaluationError(f"farm metrics are not finite: MAE {mae!r}, RMSE {rmse!r}")
         return cls(
-            mae=float(mae_n[included].sum()),
-            rmse=float(rmse_n[included].sum()),
+            mae=mae,
+            rmse=rmse,
             per_turbine_mae=mae_n,
             per_turbine_rmse=rmse_n,
             valid_counts=count,

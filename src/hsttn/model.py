@@ -54,9 +54,9 @@ VARIANT_NAMES = tuple(_VARIANT_EDITS)
 @dataclass(frozen=True)
 class ModelConfig:
     n_turbines: int
-    history_len: int
-    horizon_len: int
     n_channels: int
+    history_len: int = 144
+    horizon_len: int = 144
     d_model: int = 16
     n_heads: int = 2
     d_k: Optional[int] = None
@@ -183,9 +183,6 @@ class ModelParameters:
     def buffer(self, name: str, array: np.ndarray) -> Tensor:
         """Stored and checkpointed, never trained."""
         return self._register(name, array, False)
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._tensors[name]
 
     def items(self):
         return self._tensors.items()

@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 from hsttn.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from hsttn.cli import RunConfig, main
 from hsttn.container import read_container, write_container
-from hsttn.data import Schema, apply_zscore, load_records, make_windows, mark_invalid
+from hsttn.data import (
+    Schema,
+    apply_zscore,
+    load_records,
+    make_windows,
+    mark_invalid,
+    synth_generate,
+    write_csv,
+)
 from hsttn.evaluation import evaluate_model, predict_window
 from hsttn.model import ModelConfig, ModelParameters
 from hsttn.training import TrainConfig
@@ -82,6 +90,13 @@ class TestSynth:
         assert main(["synth", "--out", str(tmp_path), "--seed", "-1"]) == 2
         assert "seed must be non-negative, got -1" in capsys.readouterr().err
 
+    def test_without_noise_matches_library_default(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path), "--turbines", "3",
+                     "--timestamps", "50", "--channels", "4", "--seed", "5"]) == 0
+        write_csv(synth_generate(3, 50, 4, 5), tmp_path / "library.csv")
+        assert (tmp_path / "synthetic.csv").read_bytes() == \
+            (tmp_path / "library.csv").read_bytes()
+
     def test_header_matches_schema(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path), "--turbines", "2",
                      "--timestamps", "20", "--channels", "5", "--seed", "1"]) == 0
@@ -110,6 +125,22 @@ class TestTrain:
         original = (workspace / "run_out" / "checkpoint.bin").read_bytes()
         assert (tmp_path / "rerun" / "checkpoint.bin").read_bytes() == original
 
+    def test_seed_option_matches_seed_key(self, workspace, tmp_path):
+        text = (workspace / "run.cfg").read_text()
+        assert "seed = 11\n" in text
+        (tmp_path / "in_file.cfg").write_text(text.replace("seed = 11", "seed = 9"))
+        (tmp_path / "option.cfg").write_text(text)
+        for name in ("synthetic.csv", "synthetic.schema"):
+            (tmp_path / name).write_bytes((workspace / name).read_bytes())
+        assert main(["train", "--config", str(tmp_path / "in_file.cfg"),
+                     "--out", str(tmp_path / "in_file")]) == 0
+        assert main(["train", "--config", str(tmp_path / "option.cfg"), "--seed", "9",
+                     "--out", str(tmp_path / "option")]) == 0
+        assert (tmp_path / "option" / "checkpoint.bin").read_bytes() == \
+            (tmp_path / "in_file" / "checkpoint.bin").read_bytes()
+        assert (tmp_path / "option" / "checkpoint.bin").read_bytes() != \
+            (workspace / "run_out" / "checkpoint.bin").read_bytes()
+
     def test_invalid_config_fails_before_training(self, workspace, tmp_path):
         bad = (workspace / "run.cfg").read_text().replace("pool_factors = 3",
                                                           "pool_factors = 5")
@@ -130,14 +161,14 @@ class TestTrain:
         run = RunConfig.load(cfg)
         assert run.model_config(n_turbines=3, n_channels=5) == ModelConfig(
             n_turbines=3, n_channels=5, history_len=144, horizon_len=144)
-        assert run.train_config() == TrainConfig()
+        assert run.training == TrainConfig()
 
     def test_renamed_keys(self, tmp_path):
         cfg = tmp_path / "renamed.cfg"
         cfg.write_text("data = d.csv\nschema = d.schema\ndropout = 0.25\nlr = 0.5\n")
         run = RunConfig.load(cfg)
         assert run.model_config(n_turbines=1, n_channels=1).dropout_rate == 0.25
-        assert run.train_config().initial_lr == 0.5
+        assert run.training.initial_lr == 0.5
 
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_lr_is_usage_error(self, workspace, tmp_path, capsys, lr):
@@ -418,7 +449,39 @@ class TestNonFinite:
         assert not (tmp_path / "p" / "forecast.csv").exists()
 
 
+    def test_overflowing_metrics_fail_evaluate(self, workspace, tmp_path, capsys):
+        # finite predictions whose squared errors overflow
+        ckpt = load_checkpoint(workspace / "run_out" / "checkpoint.bin")
+        ckpt.parameters["head.b"] = np.array([1e160])
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, ckpt)
+        assert main(["evaluate", "--checkpoint", str(path),
+                     "--data", str(workspace / "synthetic.csv"),
+                     "--schema", str(workspace / "synthetic.schema"),
+                     "--start", "130", "--stride", "6", "--out", str(tmp_path / "e")]) == 4
+        assert "farm metrics are not finite" in capsys.readouterr().err
+        assert not (tmp_path / "e" / "report.kv").exists()
+
+
 class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("edit, message", [
+        (lambda p: p.pop("head.b"), "missing ['head.b']"),
+        (lambda p: p.update({"head.b": np.zeros(3)}), "'head.b' has shape (3,)"),
+    ], ids=["missing_array", "wrong_shape"])
+    def test_arrays_that_do_not_fit_are_io_errors(self, workspace, tmp_path, capsys, edit,
+                                                  message):
+        ckpt = load_checkpoint(workspace / "run_out" / "checkpoint.bin")
+        edit(ckpt.parameters)
+        path = tmp_path / "checkpoint.bin"
+        save_checkpoint(path, ckpt)
+        assert main(["evaluate", "--checkpoint", str(path),
+                     "--data", str(workspace / "synthetic.csv"),
+                     "--schema", str(workspace / "synthetic.schema"),
+                     "--start", "130", "--stride", "6", "--out", str(tmp_path / "e")]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}: checkpoint " in err and message in err
+        assert not (tmp_path / "e").exists()
+
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_flips_and_truncations_give_documented_exit_codes(self, workspace, data):

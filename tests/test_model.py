@@ -77,7 +77,7 @@ class TestConfig:
 
 def embed_history(model: HSTTN, x: np.ndarray) -> Tensor:
     """The history path of `HSTTN.forward`: 1x1 conv, then time and turbine."""
-    conv = pointwise_conv(Tensor(x), model.params["embed.w"], model.params["embed.b"])
+    conv = pointwise_conv(Tensor(x), model.embed_w, model.embed_b)
     return model._embed(conv, np.arange(x.shape[1]))
 
 
@@ -400,13 +400,12 @@ class TestResidualLayers:
 
         enc_cfg_layer, enc_store = build_encoder_layer(cfg, np.random.default_rng(99))
         # mirror the decoder's self-attention and fusion weights
-        arrays = enc_store.state_arrays()
+        arrays, dec = enc_store.state_arrays(), dec_store.state_arrays()
         for branch in ("tem", "spa"):
             for name in ("wq", "wk", "wv", "wo"):
-                arrays[f"enc.s0.l0.{branch}.{name}"] = \
-                    dec_store[f"dec.s0.l0.{branch}.self.{name}"].data
-        arrays["enc.s0.l0.cfb.w"] = dec_store["dec.s0.l0.cfb.w"].data
-        arrays["enc.s0.l0.cfb.b"] = dec_store["dec.s0.l0.cfb.b"].data
+                arrays[f"enc.s0.l0.{branch}.{name}"] = dec[f"dec.s0.l0.{branch}.self.{name}"]
+        arrays["enc.s0.l0.cfb.w"] = dec["dec.s0.l0.cfb.w"]
+        arrays["enc.s0.l0.cfb.b"] = dec["dec.s0.l0.cfb.b"]
         enc_store.load_arrays(arrays)
         expected = enc_cfg_layer({"st": m})["st"]
         assert np.allclose(out.data, expected.data)
@@ -442,7 +441,7 @@ class TestDecoderInput:
         model = self.signed_bias_model(cfg, 3)
         zeros = Tensor(np.zeros((2, 6, 3)))
         expected = model._embed(
-            pointwise_conv(zeros, model.params["embed.w"], model.params["embed.b"]),
+            pointwise_conv(zeros, model.embed_w, model.embed_b),
             np.arange(6, 12))
         assert np.array_equal(model._decoder_entry().data, expected.data)
 
@@ -450,9 +449,9 @@ class TestDecoderInput:
         cfg = tiny_config()
         model = self.signed_bias_model(cfg, 4)
         positions = np.arange(6, 12)
-        b = model.params["embed.b"].data
-        expected = (np.maximum(b, 0.0) + model.params["pos_table"].data[positions])[None] \
-            + model.params["turbine_table"].data[:, None, :]
+        b = model.embed_b.data
+        expected = (np.maximum(b, 0.0) + model.pos_table.data[positions])[None] \
+            + model.turbine_table.data[:, None, :]
         assert np.array_equal(model._decoder_entry().data, expected)
 
     def test_long_horizon_shape(self):
@@ -711,11 +710,10 @@ def attn_names(prefix):
 class TestParameters:
     def test_shapes_derivable_from_config(self):
         cfg = tiny_config()
-        a = HSTTN(cfg, seed=1).params
-        b = HSTTN(cfg, seed=2).params
-        names = [n for n, _ in a.items()]
-        assert [n for n, _ in b.items()] == names
-        for name in names:
+        a = dict(HSTTN(cfg, seed=1).params.items())
+        b = dict(HSTTN(cfg, seed=2).params.items())
+        assert list(b) == list(a)
+        for name in a:
             assert a[name].shape == b[name].shape
 
     # checkpoint arrays and the initialiser's draws follow declaration order;

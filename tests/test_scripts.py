@@ -30,8 +30,8 @@ def test_every_exported_name_resolves():
         assert len(set(module.__all__)) == len(module.__all__)
 
 
-def _bench_tracer():
-    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+def _bench_module(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -40,9 +40,29 @@ def _bench_tracer():
 def test_benchmark_call_log_names_resolve():
     # the benchmark times every `CallLog.CALLS` entry; a renamed function
     # would only show as a failed benchmark run
-    for module, name in _bench_tracer().CallLog.CALLS:
+    for module, name in _bench_module("tracer").CallLog.CALLS:
         value = getattr(importlib.import_module(f"hsttn.{module}"), name, None)
         assert inspect.isfunction(value), f"hsttn.{module}.{name}"
+
+
+def test_benchmark_run_configs_load(tmp_path, monkeypatch):
+    # a run-config key the CLI refused would only show as a failed benchmark
+    # run; each workload's config is written by the benchmark's own set-up
+    from hsttn import data
+    from hsttn.cli import RunConfig
+    monkeypatch.syspath_prepend(str(BENCH))
+    child = _bench_module("child")
+    synth = data.synth_generate
+    # set-up also writes the farm CSV: two timestamps keep it small
+    monkeypatch.setattr(data, "synth_generate",
+                        lambda turbines, steps, channels, seed: synth(turbines, 2, channels, seed))
+    for wl in child.WORKLOADS.values():
+        run = RunConfig.load(child.setup(wl, 0, tmp_path / wl.name)["config"])
+        model = run.model_config(n_turbines=wl.turbines, n_channels=wl.channels)
+        c = wl.config
+        assert (model.history_len, model.horizon_len) == (c["history_len"], c["horizon_len"])
+        assert (model.dropout_rate, run.training.initial_lr) == (c["dropout"], c["lr"])
+        assert run.training.seed == c["seed"]
 
 
 def test_benchmark_tracer_hooks_exist():
