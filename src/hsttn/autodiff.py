@@ -146,7 +146,11 @@ class GradTape:
         return False
 
 
-def _record(out: Tensor, inputs: Sequence[Tensor], rule) -> Tensor:
+def _op(data, inputs: Sequence[Tensor], rule) -> Tensor:
+    """`data` as an op's output, which requires a gradient when any input
+    does and is then recorded with its inputs and `rule` on the innermost
+    open tape. `rule` must not refer to the output: `_replay` frees it."""
+    out = Tensor(data, any(t.requires_grad for t in inputs))
     if _TAPE_STACK and out.requires_grad:
         _TAPE_STACK[-1].nodes.append(TapeNode(out, tuple(inputs), rule))
     return out
@@ -185,10 +189,6 @@ def _replay(node: TapeNode) -> None:
             t.accumulate_grad(gi)
 
 
-def _requires(*tensors: Tensor) -> bool:
-    return any(t.requires_grad for t in tensors)
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum gradient over axes that numpy broadcasting expanded."""
     while g.ndim > len(shape):
@@ -204,12 +204,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise ShapeError(f"cannot add shapes {a.shape} and {b.shape}") from None
-    out = Tensor(data, _requires(a, b))
 
     def rule(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _record(out, (a, b), rule)
+    return _op(data, (a, b), rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -217,12 +216,11 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}") from None
-    out = Tensor(data, _requires(a, b))
 
     def rule(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _record(out, (a, b), rule)
+    return _op(data, (a, b), rule)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -234,27 +232,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     if b.ndim == 2:
-        data = np.matmul(a.data, b.data)
-        out = Tensor(data, _requires(a, b))
-
         def rule(g):
             ga = np.matmul(g, b.data.T)
             axes = list(range(a.ndim - 1))
             gb = np.tensordot(a.data, g, axes=(axes, axes))
             return ga, gb
 
-        return _record(out, (a, b), rule)
+        return _op(np.matmul(a.data, b.data), (a, b), rule)
     if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dimensions disagree: {a.shape} x {b.shape}")
-    data = np.matmul(a.data, b.data)
-    out = Tensor(data, _requires(a, b))
 
     def rule(g):
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return ga, gb
 
-    return _record(out, (a, b), rule)
+    return _op(np.matmul(a.data, b.data), (a, b), rule)
 
 
 def mix(weights: Tensor, values: Tensor) -> Tensor:
@@ -275,15 +268,13 @@ def mix(weights: Tensor, values: Tensor) -> Tensor:
         raise ShapeError(f"mix inner dimensions disagree: {weights.shape} x {values.shape}")
     products = weights.data[..., :, :, None] * values.data[..., None, :, :]
     products.sort(axis=-2)
-    data = products.sum(axis=-2)
-    out = Tensor(data, _requires(weights, values))
 
     def rule(g):
         gw = np.matmul(g, np.swapaxes(values.data, -1, -2))
         gv = np.matmul(np.swapaxes(weights.data, -1, -2), g)
         return gw, gv
 
-    return _record(out, (weights, values), rule)
+    return _op(products.sum(axis=-2), (weights, values), rule)
 
 
 def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
@@ -304,7 +295,8 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     exists per call. The op saves the query, the rows, q, k, v, the heads'
     contexts and each score row's max and normaliser, never the
     probabilities: the backward recomputes them bitwise. A `probs` list
-    receives them in sequence layout, keys in the caller's order.
+    receives them in sequence layout; they and the keys' gradient are
+    scattered back into the caller's key order.
     """
     nd = query.ndim
     fits = nd >= 2 and keys.ndim == nd and axis != -1 and axis in range(-nd, nd - 1)
@@ -321,19 +313,15 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     if query.shape[-1] != wq.shape[0] or keys.shape[-1] != wq.shape[0]:
         raise ShapeError(f"attention inputs {query.shape} and {keys.shape} do not match "
                          f"weights {wq.shape}")
-    n, lq = len(lead), x_query.shape[-2]
-    dk, dv = wq.shape[1] // n_heads, wv.shape[1] // n_heads
-    # (..., L, heads, width) <-> (..., heads, L, width); its own inverse
-    heads_first = (*range(n), n + 1, n, n + 2)
-    last_two = (*range(n + 1), n + 2, n + 1)
-    axes = list(range(n + 1))
-    c = 1.0 / math.sqrt(dk)
+    axes = list(range(len(lead) + 1))
+    c = 1.0 / math.sqrt(wq.shape[1] // n_heads)
 
-    def split_heads(a: np.ndarray, width: int) -> np.ndarray:
-        return np.transpose(a.reshape(a.shape[:-1] + (n_heads, width)), heads_first)
+    def split_heads(a: np.ndarray) -> np.ndarray:
+        """(..., L, heads * width) -> (..., heads, L, width), a view."""
+        return np.swapaxes(a.reshape(a.shape[:-1] + (n_heads, -1)), -3, -2)
 
     def merge_heads(a: np.ndarray) -> np.ndarray:
-        return np.transpose(a, heads_first).reshape(lead + (-1, n_heads * a.shape[-1]))
+        return np.swapaxes(a, -3, -2).reshape(lead + (-1, n_heads * a.shape[-1]))
 
     order = np.lexsort(np.moveaxis(x_keys.view(np.int64), -1, 0), axis=-1)
     rows = np.take_along_axis(x_keys, order[..., None], axis=-2)
@@ -341,17 +329,15 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     q_proj *= c
     k_proj = np.matmul(rows, wk.data)
     v_proj = np.matmul(rows, wv.data)
-    q, k, v = split_heads(q_proj, dk), split_heads(k_proj, dk), split_heads(v_proj, dv)
-    k_t = np.transpose(k, last_two)
-    p = np.matmul(q, k_t)
+    q, k, v = split_heads(q_proj), split_heads(k_proj), split_heads(v_proj)
+    p = np.matmul(q, np.swapaxes(k, -1, -2))
     stats = _softmax_in_place(p)
     if probs is not None:
-        inverse = np.argsort(order, axis=-1)[..., None, None, :]
-        probs.append(np.take_along_axis(p, inverse, axis=-1))
-    ctx = np.transpose(np.matmul(p, v), heads_first).reshape(lead + (lq, n_heads * dv))
+        # column j belongs to key order[j]: scatter it back to that column
+        probs.append(np.empty_like(p))
+        np.put_along_axis(probs[-1], order[..., None, None, :], p, axis=-1)
+    ctx = merge_heads(np.matmul(p, v))
     del p
-    out = Tensor(np.swapaxes(np.matmul(ctx, wo.data), axis, -2),
-                 _requires(query, keys, wq, wk, wv, wo))
     # self-attention along a swapped axis gives its input one gradient, the
     # query's plus the keys', the sum order that checkpoints were trained in
     merged = query is keys and axis % nd != nd - 2
@@ -365,14 +351,14 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
         g_ctx = np.matmul(g, wo.data.T)
         g_wo = np.tensordot(ctx, g, axes=(axes, axes))
         del g, ctx  # each the size of the output, freed before the attention products
-        g_ctx = np.transpose(g_ctx.reshape(lead + (lq, n_heads, dv)), heads_first)
-        p = np.matmul(q, k_t)
+        g_ctx = split_heads(g_ctx)
+        p = np.matmul(q, np.swapaxes(k, -1, -2))
         _softmax_in_place(p, stats)
         g_v = np.matmul(np.swapaxes(p, -1, -2), g_ctx)
         g_p = _softmax_grad_in_place(np.matmul(g_ctx, np.swapaxes(v, -1, -2)), p)
         del p  # free the (..., Lq, Lk) probabilities before the next products
-        g_q = np.matmul(g_p, np.swapaxes(k_t, -1, -2))
-        g_k = np.transpose(np.matmul(np.swapaxes(q, -1, -2), g_p), last_two)
+        g_q = np.matmul(g_p, k)
+        g_k = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_p), -1, -2)
         del g_p
         g_v, g_k = merge_heads(g_v), merge_heads(g_k)
         g_rows = np.matmul(g_v, wv.data.T)
@@ -382,23 +368,23 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
         g_q = merge_heads(g_q) * c
         g_query = np.matmul(g_q, wq.data.T)
         g_wq = np.tensordot(x_query, g_q, axes=(axes, axes))
-        inverse = np.argsort(order, axis=-1)
-        g_keys = np.take_along_axis(g_rows, inverse[..., None], axis=-2)
+        g_keys = np.empty_like(g_rows)
+        np.put_along_axis(g_keys, order[..., None], g_rows, axis=-2)
         if merged:
             g_query, g_keys = g_query + g_keys, None
         else:
             g_keys = np.swapaxes(g_keys, axis, -2)
         return np.swapaxes(g_query, axis, -2), g_keys, g_wq, g_wk, g_wv, g_wo
 
-    return _record(out, (query, keys, wq, wk, wv, wo), rule)
+    return _op(np.swapaxes(np.matmul(ctx, wo.data), axis, -2),
+               (query, keys, wq, wk, wv, wo), rule)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"cannot reshape {a.shape} to {shape}")
-    out = Tensor(a.data.reshape(shape), a.requires_grad)
-    return _record(out, (a,), lambda g: (g.reshape(a.shape),))
+    return _op(a.data.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
 def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -413,15 +399,13 @@ def broadcast_to(a: Tensor, shape: Sequence[int]) -> Tensor:
         data = np.broadcast_to(a.data, shape)
     except ValueError:
         raise ShapeError(f"cannot broadcast {a.shape} to {shape}") from None
-    out = Tensor(data, a.requires_grad)
-    return _record(out, (a,), lambda g: (_unbroadcast(g, a.shape),))
+    return _op(data, (a,), lambda g: (_unbroadcast(g, a.shape),))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0.0), a.requires_grad)
     # gradient at exactly zero is defined as zero
     mask = a.data > 0.0
-    return _record(out, (a,), lambda g: (g * mask,))
+    return _op(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
 def _softmax_in_place(s: np.ndarray, stats=None, sorted_sum: bool = False):
@@ -458,8 +442,7 @@ def softmax_rows(a: Tensor) -> Tensor:
         raise ShapeError(f"softmax_rows needs a non-empty last axis, got shape {a.shape}")
     y = a.data.copy()
     _softmax_in_place(y, sorted_sum=True)
-    out = Tensor(y, a.requires_grad)
-    return _record(out, (a,), lambda g: (_softmax_grad_in_place(g.copy(), y),))
+    return _op(y, (a,), lambda g: (_softmax_grad_in_place(g.copy(), y),))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -477,14 +460,12 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
                 f"concat along axis {axis} needs matching off-axis shapes, "
                 f"got {[t.shape for t in tensors]}"
             )
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = Tensor(data, _requires(*tensors))
     offsets = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def rule(g):
         return tuple(np.split(g, offsets, axis=axis))
 
-    return _record(out, tuple(tensors), rule)
+    return _op(np.concatenate([t.data for t in tensors], axis=axis), tensors, rule)
 
 
 def maxpool1d(x: Tensor, p: int) -> Tensor:
@@ -501,14 +482,13 @@ def maxpool1d(x: Tensor, p: int) -> Tensor:
         return x
     windows = x.data.reshape(x.shape[:-2] + (length // p, p, x.shape[-1]))
     idx = windows.argmax(axis=-2)
-    out = Tensor(windows.max(axis=-2), x.requires_grad)
 
     def rule(g):
         gw = np.zeros_like(windows)
         np.put_along_axis(gw, idx[..., None, :], g[..., None, :], axis=-2)
         return (gw.reshape(x.shape),)
 
-    return _record(out, (x,), rule)
+    return _op(windows.max(axis=-2), (x,), rule)
 
 
 def upconv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -525,7 +505,6 @@ def upconv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     length = x.shape[-2]
     steps = np.einsum("...ld,fdo->...lfo", x.data, w.data)
     data = steps.reshape(x.shape[:-2] + (length * factor, d_out)) + b.data
-    out = Tensor(data, _requires(x, w, b))
 
     def rule(g):
         gv = g.reshape(x.shape[:-2] + (length, factor, d_out))
@@ -535,7 +514,7 @@ def upconv1d(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         gb = g.reshape(-1, d_out).sum(axis=0)
         return gx, gw, gb
 
-    return _record(out, (x, w, b), rule)
+    return _op(data, (x, w, b), rule)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: RngStream | None) -> Tensor:
@@ -549,13 +528,11 @@ def dropout(x: Tensor, rate: float, training: bool, rng: RngStream | None) -> Te
         raise ContractError("dropout in training mode needs an RngStream")
     keep = rng.keep_mask(x.shape, 1.0 - rate)
     factor = keep.astype(np.float64) / (1.0 - rate)
-    out = Tensor(x.data * factor, x.requires_grad)
-    return _record(out, (x,), lambda g: (g * factor,))
+    return _op(x.data * factor, (x,), lambda g: (g * factor,))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.sum(a.data), a.requires_grad)
-    return _record(out, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+    return _op(np.sum(a.data), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def pointwise_conv(x: Tensor, w: Tensor, b: Tensor, activation: bool = True) -> Tensor:

@@ -80,13 +80,14 @@ class RunConfig:
     field, with the same defaults, except the dataset-derived
     `n_turbines`/`n_channels` and the head widths `d_k`/`d_v`. The file
     spells `dropout_rate` as `dropout` and `initial_lr` as `lr`. Unknown
-    keys are refused, and so are values either config refuses.
+    keys, missing keys of fields without a default, and values either
+    config refuses are all refused.
     """
 
     data: Path
     schema: Path
-    train_end: int = 0
-    val_end: int = 0
+    train_end: int
+    val_end: int
     train_stride: int = 1
     val_stride: int = 1
     out_dir: Path = Path("runs/out")

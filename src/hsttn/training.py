@@ -36,6 +36,8 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be non-negative, got {self.max_epochs}")
         if self.patience < 1:
             raise ConfigError(f"patience must be at least 1, got {self.patience}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def mse_loss(y_hat: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:

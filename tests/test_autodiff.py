@@ -604,6 +604,56 @@ class TestDeterminism:
         assert np.array_equal(root.child(3).normal((10,)), RngStream(7).child(3).normal((10,)))
 
 
+# each op applied to its tensor arguments, and the shapes of those arguments;
+# the identity shortcuts (one-tensor concat, p = 1 pooling, same-shape
+# broadcast, eval dropout) record nothing and are left out
+OP_CASES = {
+    "add": (add, [(2, 3), (3,)]),
+    "mul": (mul, [(2, 3), (2, 3)]),
+    "matmul": (matmul, [(4, 2, 3), (3, 5)]),
+    "matmul_stacked": (matmul, [(4, 2, 3), (4, 3, 5)]),
+    "mix": (mix, [(2, 3), (3, 4)]),
+    "attend": (lambda *t: attend(*t, n_heads=2),
+               [(2, 3, 4), (2, 5, 4), (4, 2), (4, 2), (4, 2), (2, 4)]),
+    "reshape": (lambda a: reshape(a, (3, 2)), [(2, 3)]),
+    "broadcast_to": (lambda a: broadcast_to(a, (2, 3)), [(1, 3)]),
+    "relu": (relu, [(2, 3)]),
+    "softmax_rows": (softmax_rows, [(2, 3)]),
+    "concat": (lambda *t: concat(t, axis=-1), [(2, 3), (2, 1)]),
+    "maxpool1d": (lambda x: maxpool1d(x, 2), [(4, 2)]),
+    "upconv1d": (upconv1d, [(3, 2), (2, 2, 3), (3,)]),
+    "dropout": (lambda x: dropout(x, 0.5, True, RngStream(0)), [(2, 3)]),
+    "sum_all": (sum_all, [(2, 3)]),
+}
+
+
+class TestOpContract:
+    @pytest.mark.parametrize("name", list(OP_CASES))
+    def test_output_requires_grad_and_is_recorded_on_the_innermost_tape(self, name):
+        op, shapes = OP_CASES[name]
+        rng = np.random.default_rng(0)
+
+        def args(*flags):
+            return [Tensor(rng.normal(size=s), f) for s, f in zip(shapes, flags)]
+
+        # one input that requires a gradient is enough
+        inputs = args(*(i == len(shapes) - 1 for i in range(len(shapes))))
+        with GradTape() as outer, GradTape() as tape:
+            out = op(*inputs)
+        assert out.requires_grad and outer.nodes == [] and len(tape.nodes) == 1
+        node = tape.nodes[0]
+        assert node.output is out and len(node.inputs) == len(inputs)
+        assert all(a is b for a, b in zip(node.inputs, inputs))
+
+        with GradTape() as tape:
+            out = op(*args(*[False] * len(shapes)))
+        assert not out.requires_grad and tape.nodes == []
+
+        # outside any tape the output still requires a gradient, unrecorded
+        out = op(*args(*[True] * len(shapes)))
+        assert out.requires_grad and tape.nodes == [] and outer.nodes == []
+
+
 class TestTensorInvariants:
     def test_grad_matches_shape(self):
         x = leaf(np.ones((2, 3)))

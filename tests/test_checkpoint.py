@@ -149,6 +149,7 @@ class TestCheckpoint:
         lambda h: h["train_config"].update(extra=1),
         lambda h: h.update(model_config=None),
         lambda h: h["train_config"].update(patience=0),
+        lambda h: h["train_config"].update(seed=-1),
         lambda h: h["model_config"].update(n_heads=0),
         lambda h: h["model_config"].update(d_k=-1),
     ])

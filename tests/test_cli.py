@@ -157,7 +157,7 @@ class TestTrain:
 
     def test_missing_keys_take_config_defaults(self, tmp_path):
         cfg = tmp_path / "min.cfg"
-        cfg.write_text("data = d.csv\nschema = d.schema\n")
+        cfg.write_text("data = d.csv\nschema = d.schema\ntrain_end = 1\nval_end = 2\n")
         run = RunConfig.load(cfg)
         assert run.model_config(n_turbines=3, n_channels=5) == ModelConfig(
             n_turbines=3, n_channels=5, history_len=144, horizon_len=144)
@@ -165,7 +165,8 @@ class TestTrain:
 
     def test_renamed_keys(self, tmp_path):
         cfg = tmp_path / "renamed.cfg"
-        cfg.write_text("data = d.csv\nschema = d.schema\ndropout = 0.25\nlr = 0.5\n")
+        cfg.write_text("data = d.csv\nschema = d.schema\ntrain_end = 1\nval_end = 2\n"
+                       "dropout = 0.25\nlr = 0.5\n")
         run = RunConfig.load(cfg)
         assert run.model_config(n_turbines=1, n_channels=1).dropout_rate == 0.25
         assert run.training.initial_lr == 0.5
@@ -213,6 +214,19 @@ class TestTrain:
         assert main(["train", "--config", str(workspace / "run.cfg"),
                      "--out", str(tmp_path / "out")]) == 2
         assert "error: out of memory: Unable to allocate 298. GiB" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, option, message", [
+        ("seed = 11", "seed = -1", [], "seed must be non-negative, got -1"),
+        ("", "", ["--seed", "-1"], "seed must be non-negative, got -1"),
+        ("train_end = 100\n", "", [], "missing required key 'train_end'"),
+    ], ids=["seed_key", "seed_option", "no_train_end"])
+    def test_refused_before_the_data_is_read(self, tmp_path, capsys, old, new, option,
+                                             message):
+        # no data file exists, so reading it would end in exit 3
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(RUN_CONFIG.replace(old, new))
+        assert main(["train", "--config", str(cfg), *option]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_data_is_io_error(self, workspace, tmp_path):
         bad = (workspace / "run.cfg").read_text().replace("synthetic.csv", "missing.csv")

@@ -311,3 +311,5 @@ class TestTrainLoop:
             TrainConfig(lr_decay=0.0)
         with pytest.raises(ConfigError):
             TrainConfig(patience=0)
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            TrainConfig(seed=-1)
