@@ -6,7 +6,7 @@ from dataclasses import asdict, fields
 
 from .container import read_container, write_container
 from .data import NormStats, Schema
-from .errors import ConfigError, ContractError, IngestError
+from .errors import ConfigError, ContractError, DatasetError, IngestError
 from .kv import FIELD_TYPES, parse_fields
 from .model import HSTTN, ModelConfig
 from .training import Checkpoint, TrainConfig
@@ -59,12 +59,12 @@ def load_checkpoint(path) -> Checkpoint:
         )
     params = {name[len("param."):]: arr for name, arr in arrays.items()
               if name.startswith("param.")}
-    ckpt = Checkpoint(model_config=config, parameters=params, epoch=epoch,
-                      val_loss=float(val_loss), norm_stats=NormStats(mean=norm[0], std=norm[1]),
-                      train_config=train_config, schema=schema)
-    try:  # the arrays must fit the architecture the header describes
+    try:  # usable statistics, and arrays that fit the architecture the header describes
+        ckpt = Checkpoint(model_config=config, parameters=params, epoch=epoch,
+                          val_loss=float(val_loss), train_config=train_config, schema=schema,
+                          norm_stats=NormStats(mean=norm[0], std=norm[1]))
         model_from_checkpoint(ckpt)
-    except ContractError as exc:
+    except (ContractError, DatasetError, ValueError) as exc:  # numpy: too large to build
         raise IngestError(f"{path}: checkpoint {exc}") from None
     return ckpt
 

@@ -69,7 +69,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
     (header_len,) = struct.unpack("<Q", take(8))
     try:
         header = json.loads(bytes(take(header_len)).decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or nesting too deep
         raise IngestError(f"{path}: corrupt container header: {exc}") from None
     if not isinstance(header, dict):
         raise IngestError(f"{path}: container header is not a JSON object")

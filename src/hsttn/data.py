@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, fields, replace
+from dataclasses import InitVar, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -137,8 +137,8 @@ class RecordSet:
 # seconds; a sign is let through so a negative field reads as out of range
 _TIME_OF_DAY = re.compile(r"(-?[0-9]{1,2}):(-?[0-9]{1,2})(?::00)?")
 
-# data rows `load_records` holds as text and parses at a time; larger
-# blocks were no faster and raised a small file's peak memory
+# data rows `load_records` holds as text and parses, and `write_csv` formats,
+# at a time; larger blocks were no faster and raised a small file's peak memory
 _BLOCK_ROWS = 1024
 _KEY_ERROR = "cannot parse turbine id, day, or time"
 
@@ -339,12 +339,20 @@ def mark_invalid(rs: RecordSet) -> RecordSet:
 
 @dataclass(frozen=True)
 class NormStats:
-    """Per-channel standardization statistics fit on the training range."""
+    """Per-channel standardization statistics: finite means and finite stds of
+    at least `STD_FLOOR`. A refusal names the channel from `channels` if given."""
 
     mean: np.ndarray
     std: np.ndarray
+    channels: InitVar[Sequence[str]] = ()
 
     STD_FLOOR = 1e-8
+
+    def __post_init__(self, channels):
+        for c, (m, s) in enumerate(zip(self.mean.tolist(), self.std.tolist())):
+            if not (np.isfinite([m, s]).all() and s >= self.STD_FLOOR):
+                raise DatasetError(f"channel {channels[c] if channels else c!r} has mean {m} and "
+                                   f"std {s}: need both finite and the std >= {self.STD_FLOOR}")
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean) / self.std
@@ -355,6 +363,7 @@ class NormStats:
         return values * self.std[channel] + self.mean[channel]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused by name below
 def fit_zscore(rs: RecordSet, fit_range: tuple[int, int]) -> NormStats:
     """Mean/std over valid cells of `[start, end)`; constant channels get
     unit std so they normalize to zero instead of exploding."""
@@ -375,7 +384,7 @@ def fit_zscore(rs: RecordSet, fit_range: tuple[int, int]) -> NormStats:
         mean[c] = cells.mean()
         s = cells.std()
         std[c] = s if s >= NormStats.STD_FLOOR else 1.0
-    return NormStats(mean=mean, std=std)
+    return NormStats(mean=mean, std=std, channels=rs.schema.channels)
 
 
 def apply_zscore(rs: RecordSet, stats: NormStats) -> RecordSet:
@@ -529,24 +538,21 @@ def _synth_schema(n_channels: int) -> Schema:
 
 
 def write_csv(rs: RecordSet, path) -> None:
-    """Write the grid back out in the loader's format. Floats use repr, so
-    a load/write round trip is lossless and byte-deterministic."""
+    """Write the grid back out in the loader's format, a turbine's
+    `_BLOCK_ROWS` timestamps at a time. Floats use repr, so a load/write
+    round trip is lossless and byte-deterministic; a valid row writes nan
+    and inf as text, and an invalid row leaves its non-finite cells empty."""
     schema = rs.schema
     spd = schema.slots_per_day
+    stamps = ["%02d:%02d" % divmod(m, 60) for m in range(0, MINUTES_PER_DAY, schema.step_minutes)]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([schema.id_column, schema.day_column, schema.time_column,
                          *schema.channels])
-        for ni, tid in enumerate(rs.turbine_ids):
-            for ti in range(rs.n_timestamps):
-                day = 1 + ti // spd
-                slot = ti % spd
-                minutes = slot * schema.step_minutes
-                stamp = f"{minutes // 60:02d}:{minutes % 60:02d}"
-                row = [str(tid), str(day), stamp]
-                cells = rs.values[ni, ti]
-                if rs.validity[ni, ti]:
-                    row.extend(repr(float(v)) for v in cells)
-                else:
-                    row.extend("" if not np.isfinite(v) else repr(float(v)) for v in cells)
-                writer.writerow(row)
+        for ni, tid in enumerate(map(str, rs.turbine_ids)):
+            for start in range(0, rs.n_timestamps, _BLOCK_ROWS):
+                block = rs.values[ni, start:start + _BLOCK_ROWS].astype(np.float64)
+                cells = np.array([*map(repr, block.ravel().tolist())], object).reshape(block.shape)
+                cells[~np.isfinite(block) & ~rs.validity[ni, start:start + _BLOCK_ROWS, None]] = ""
+                writer.writerows([tid, str(1 + t // spd), stamps[t % spd], *row]
+                                 for t, row in enumerate(cells.tolist(), start))

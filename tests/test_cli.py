@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import struct
 import warnings
 from xml.etree import ElementTree as ET
 
@@ -214,6 +215,23 @@ class TestTrain:
         assert main(["train", "--config", str(workspace / "run.cfg"),
                      "--out", str(tmp_path / "out")]) == 2
         assert "error: out of memory: Unable to allocate 298. GiB" in capsys.readouterr().err
+
+    def test_overflowing_channel_is_numeric_error(self, workspace, tmp_path, capsys):
+        # every Patv reading is finite, but their mean overflows to inf
+        (tmp_path / "run.cfg").write_text((workspace / "run.cfg").read_text())
+        (tmp_path / "synthetic.schema").write_text((workspace / "synthetic.schema").read_text())
+        with (workspace / "synthetic.csv").open(newline="") as fh:
+            header, *rows = csv.reader(fh)
+        target = header.index("Patv")
+        with (tmp_path / "synthetic.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows([header, *(row[:target] + ["1.7e308"] + row[target + 1:]
+                                                for row in rows)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: channel 'Patv' has mean inf")
+        assert not (tmp_path / "run_out").exists()
 
     @pytest.mark.parametrize("old, new, option, message", [
         ("seed = 11", "seed = -1", [], "seed must be non-negative, got -1"),
@@ -531,6 +549,54 @@ class TestCorruptCheckpoint:
                      "--origin", "140", "--out", str(tmp_path / "out")]) == code
         if code:
             assert f"{path}: checkpoint schema: " in capsys.readouterr().err
+
+
+    def run_predict(self, workspace, path) -> int:
+        return main(["predict", "--checkpoint", str(path),
+                     "--data", str(workspace / "synthetic.csv"),
+                     "--schema", str(workspace / "synthetic.schema"),
+                     "--origin", "140", "--out", str(path.parent / "out")])
+
+    def test_deeply_nested_header_is_io_error(self, workspace, tmp_path, capsys):
+        blob = (workspace / "run_out" / "checkpoint.bin").read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        nested = b'{"kind":' + b"[" * 200_000 + b"]" * 200_000 + b"}"
+        path = tmp_path / "checkpoint.bin"
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(nested)) + nested
+                         + blob[16 + header_len:])
+        assert self.run_predict(workspace, path) == 3
+        assert f"error: {path}: corrupt container header: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_turbines", [10 ** 30, 2 ** 62])
+    def test_architecture_too_large_to_build_is_io_error(self, workspace, tmp_path, capsys,
+                                                          n_turbines):
+        # numpy refuses the turbine table's size before allocating anything
+        header, arrays = read_container(workspace / "run_out" / "checkpoint.bin")
+        header["model_config"]["n_turbines"] = n_turbines
+        path = tmp_path / "checkpoint.bin"
+        write_container(path, header, arrays)
+        assert self.run_predict(workspace, path) == 3
+        assert f"error: {path}: checkpoint " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name, index, value, shown", [
+        ("std", 1, 0.0, "std 0.0"), ("std", 1, -1.0, "std -1.0"), ("std", 1, np.nan, "std nan"),
+        ("mean", 0, np.inf, "mean inf"),
+    ], ids=["zero_std", "negative_std", "nan_std", "infinite_mean"])
+    def test_unusable_norm_stats_are_io_errors(self, workspace, tmp_path, capsys, name, index,
+                                               value, shown):
+        header, arrays = read_container(workspace / "run_out" / "checkpoint.bin")
+        arrays[f"norm.{name}"][index] = value
+        path = tmp_path / "checkpoint.bin"
+        write_container(path, header, arrays)
+        assert main(["evaluate", "--checkpoint", str(path),
+                     "--data", str(workspace / "synthetic.csv"),
+                     "--schema", str(workspace / "synthetic.schema"),
+                     "--start", "130", "--stride", "6", "--out", str(tmp_path / "e")]) == 3
+        assert self.run_predict(workspace, path) == 3
+        for err in capsys.readouterr().err.splitlines():
+            assert err.startswith(f"error: {path}: checkpoint channel {index} ") and shown in err
+        assert not (tmp_path / "e").exists() and not (tmp_path / "out").exists()
 
 
 def mutate(data, blob: bytes) -> bytes:

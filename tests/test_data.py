@@ -1,5 +1,7 @@
+import csv
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from hsttn.data import (
     DEFAULT_CHANNELS,
+    MINUTES_PER_DAY,
     NormStats,
     RecordSet,
     Schema,
@@ -193,6 +196,26 @@ def farm_rows(count):
             for i in range(count)]
 
 
+def write_csv_by_row(rs, path):
+    """The row-at-a-time writer that `write_csv` must match byte for byte."""
+    schema = rs.schema
+    spd = schema.slots_per_day
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([schema.id_column, schema.day_column, schema.time_column,
+                         *schema.channels])
+        for ni, tid in enumerate(rs.turbine_ids):
+            for ti in range(rs.n_timestamps):
+                minutes = ti % spd * schema.step_minutes
+                row = [str(tid), str(1 + ti // spd), f"{minutes // 60:02d}:{minutes % 60:02d}"]
+                cells = rs.values[ni, ti]
+                if rs.validity[ni, ti]:
+                    row.extend(repr(float(v)) for v in cells)
+                else:
+                    row.extend("" if not np.isfinite(v) else repr(float(v)) for v in cells)
+                writer.writerow(row)
+
+
 class TestBlockwiseLoad:
     """Each block of rows is parsed column by column, yet every message names
     the line a row-by-row reading would stop at."""
@@ -280,6 +303,49 @@ class TestBlockwiseLoad:
         assert loaded.values.tobytes() == expected.tobytes()
         assert np.array_equal(loaded.validity, np.isfinite(expected).all(axis=2))
         assert loaded.turbine_ids == rs.turbine_ids
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_writer_matches_the_row_at_a_time_writer(self, tmp_path_factory, data):
+        step = data.draw(st.sampled_from([1, 5, 10, 15, 60, 1440]), label="step")
+        spd = MINUTES_PER_DAY // step
+        n = data.draw(st.integers(1, 3), label="turbines")
+        t = data.draw(st.integers(spd + 1, 3 * spd + 1), label="timestamps")  # two days or more
+        dtype = data.draw(st.sampled_from([np.float64, np.float32, np.int64]), label="dtype")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32), label="seed"))
+        if dtype is np.int64:
+            values = rng.integers(-2 ** 63, 2 ** 63 - 1, size=(n, t, 3), dtype=np.int64)
+        else:
+            exponent = 300 if dtype is np.float64 else 30
+            values = rng.normal(size=(n, t, 3)) * 10.0 ** rng.integers(-exponent, exponent,
+                                                                         size=(n, t, 3))
+            special = rng.random((n, t, 3)) < data.draw(st.floats(0.0, 0.5), label="special")
+            values[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0], size=special.sum())
+            values = values.astype(dtype)
+        validity = rng.random((n, t)) < data.draw(st.floats(0.0, 1.0), label="valid share")
+        ids = data.draw(st.lists(st.integers(0, 10 ** 30), min_size=n, max_size=n, unique=True))
+        rs = RecordSet(schema=replace(small_schema(), step_minutes=step), values=values,
+                       validity=validity, turbine_ids=tuple(ids))
+        root = tmp_path_factory.mktemp("writers")
+        write_csv_by_row(rs, root / "by_row.csv")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("hsttn.data._BLOCK_ROWS", data.draw(st.integers(1, t), label="block"))
+            write_csv(rs, root / "by_block.csv")
+        assert (root / "by_block.csv").read_bytes() == (root / "by_row.csv").read_bytes()
+
+    def test_writer_memory_is_bounded_by_the_block(self, tmp_path):
+        """The text of one block is alive at a time: about 3 MB, where a
+        whole turbine of 200,000 rows formatted at once took about 300 MB."""
+        peaks = []
+        for t in (50_000, 200_000):
+            rs = synth_generate(1, t, 13, seed=6)
+            tracemalloc.start()
+            try:
+                write_csv(rs, tmp_path / "farm.csv")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 8_000_000 and abs(peaks[1] - peaks[0]) < 1_000_000
 
     def test_memory_is_bounded_by_the_block(self, tmp_path, monkeypatch):
         """About 20k rows peak at 7 MB in blocks of 1,024 rows, at 14 MB in
@@ -410,6 +476,19 @@ class TestZscore:
                             validity=np.zeros((1, 20), dtype=bool), turbine_ids=(1,))
         with pytest.raises(DatasetError):
             fit_zscore(invalid, (0, 20))
+
+    def test_overflowing_channel_is_fit_error(self):
+        # finite readings whose mean overflows; numpy's warning stays inside the fit
+        rs = synth_generate(1, 20, 3, seed=4)
+        rs.values[:, :, 2] = 1.7e308
+        with pytest.raises(DatasetError, match=r"channel 'Patv' has mean inf and std inf"):
+            fit_zscore(rs, (0, 20))
+
+    @pytest.mark.parametrize("mean, std", [(0.0, 0.0), (0.0, -1.0), (0.0, np.nan),
+                                           (np.inf, 1.0), (0.0, NormStats.STD_FLOOR / 2)])
+    def test_unusable_stats_are_refused_by_index(self, mean, std):
+        with pytest.raises(DatasetError, match=r"^channel 1 has mean "):
+            NormStats(mean=np.array([0.0, mean]), std=np.array([1.0, std]))
 
     def test_invalid_cells_become_zero(self):
         rs = synth_generate(1, 30, 3, seed=5)
