@@ -1,0 +1,203 @@
+#!/usr/bin/env python3
+"""Say whether two source trees compute the same bits.
+
+Runs a fixed set of computations and prints one sha256 per named array or
+artifact, then one overall digest:
+
+- every model variant at (N, L, d) = (4, 24, 8), (13, 12, 8) and
+  (37, 12, 4), with a batch of 4 windows and dropout 0.2: two Adam steps,
+  each with its loss, every parameter gradient and every attention
+  probability array; then the parameters, a prediction for the batch and
+  the evaluation report over held-out windows;
+- a `synth` -> `train` -> `evaluate` -> `predict` flow through the CLI,
+  with every file it writes.
+
+With `--against PATH` the same set also runs on the `src/` of the tree at
+PATH, in a child process, and the names whose digests differ are listed
+(exit 1 if any differ, else 0). The bits depend on the BLAS build and the
+machine, so compare two trees on one machine; there are no stored digests.
+
+    python3 scripts/bitwise_digest.py                    # this tree's digests
+    python3 scripts/bitwise_digest.py --against ../other # what differs
+"""
+
+import argparse
+import contextlib
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SHAPES = ((4, 24, 8), (13, 12, 8), (37, 12, 4))
+CHANNELS, BATCH, SEED, LR = 5, 4, 7, 1e-3
+RUN_CONFIG = """\
+data = synthetic.csv
+schema = synthetic.schema
+train_end = 150
+val_end = 190
+history_len = 12
+horizon_len = 12
+d_model = 8
+n_heads = 2
+pool_factors = 3,2
+layers_encoder = 1
+layers_decoder = 1
+dropout = 0.1
+lr = 0.002
+batch_size = 4
+max_epochs = 2
+patience = 5
+seed = 21
+train_stride = 3
+val_stride = 12
+out_dir = out
+"""
+
+
+def sha(a) -> str:
+    """Digest of an array's dtype, shape and bytes, or of bytes or text."""
+    if isinstance(a, str):
+        a = a.encode()
+    if isinstance(a, bytes):
+        return hashlib.sha256(a).hexdigest()
+    a = np.asarray(a)
+    head = f"{a.dtype.str}{a.shape}".encode()
+    return hashlib.sha256(head + np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def model_digests(out: dict) -> None:
+    from hsttn import (AdamState, GradTape, RngStream, ScaleTrace, Tensor, adam_step,
+                       apply_zscore, backward, evaluate_model, fit_zscore, make_variant,
+                       make_windows, mse_loss, synth_generate, variant_config)
+    from hsttn.model import VARIANT_NAMES, ModelConfig
+
+    for n, length, d in SHAPES:
+        rs = synth_generate(n, 8 * length, CHANNELS, seed=n)
+        stats = fit_zscore(rs, (0, 5 * length))
+        normed = apply_zscore(rs, stats)
+        batch = make_windows(normed, length, length, length // 2, 0, 5 * length)[:BATCH]
+        x = np.stack([w.history for w in batch])
+        y = np.stack([w.future_target for w in batch])
+        mask = np.stack([w.future_validity for w in batch])
+        held_out = make_windows(normed, length, length, length // 2, 5 * length)
+        base = ModelConfig(n_turbines=n, n_channels=CHANNELS, history_len=length,
+                           horizon_len=length, d_model=d, n_heads=2, pool_factors=(3, 2),
+                           dropout_rate=0.2)
+        for name in VARIANT_NAMES:
+            model = make_variant(variant_config(base, name), seed=SEED)
+            params = model.params.trainable()
+            state = AdamState.init(params)
+            prefix = f"{n}x{length}x{d}/{name}"
+            for step in range(2):
+                model.params.zero_grad()
+                trace = ScaleTrace(collect_probs=True)
+                with GradTape() as tape:
+                    y_hat = model.forward(Tensor(x), training=True,
+                                          rng=RngStream(SEED).child(step), trace=trace)
+                    loss = mse_loss(y_hat, y, mask)
+                backward(loss, tape)
+                out[f"{prefix}/step{step}/loss"] = sha(loss.data)
+                for key, p in params.items():
+                    out[f"{prefix}/step{step}/grad/{key}"] = sha(p.grad)
+                for i, probs in enumerate(trace.attention_probs):
+                    out[f"{prefix}/step{step}/probs/{i:02d}"] = sha(probs)
+                adam_step(params, state, LR)
+            for key, a in model.params.state_arrays().items():
+                out[f"{prefix}/params/{key}"] = sha(a)
+            out[f"{prefix}/predict"] = sha(model.predict(x))
+            report = evaluate_model(model, held_out, stats, rs.target_index)
+            out[f"{prefix}/report.kv"] = sha(json.dumps(report.to_kv(), sort_keys=True))
+            out[f"{prefix}/report.csv"] = sha(json.dumps(report.to_csv_rows()))
+
+
+def cli_digests(out: dict) -> None:
+    from hsttn.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "run.cfg").write_text(RUN_CONFIG, encoding="utf-8")
+        data = ["--data", str(root / "synthetic.csv"), "--schema", str(root / "synthetic.schema")]
+        ckpt = ["--checkpoint", str(root / "out" / "checkpoint.bin")]
+        commands = [
+            ["synth", "--out", tmp, "--turbines", "5", "--timestamps", "240", "--channels", "4",
+             "--seed", "3"],
+            ["train", "--config", str(root / "run.cfg")],
+            ["evaluate", *ckpt, *data, "--start", "190", "--stride", "6",
+             "--out", str(root / "out")],
+            ["predict", *ckpt, *data, "--origin", "200", "--out", str(root / "out")],
+        ]
+        for argv in commands:
+            # the CLI's messages go to stderr, so stdout keeps the digests alone
+            with contextlib.redirect_stdout(sys.stderr):
+                code = main(argv)
+            if code != 0:
+                raise SystemExit(f"hsttn {argv[0]} exited {code}")
+        for path in sorted(p for p in root.rglob("*") if p.is_file() and p.suffix != ".cfg"):
+            out[f"cli/{path.relative_to(root).as_posix()}"] = sha(path.read_bytes())
+
+
+def digests(src: Path) -> dict:
+    sys.path.insert(0, str(src))
+    import hsttn
+
+    print(f"hsttn from {Path(hsttn.__file__).parent}", file=sys.stderr)
+    out: dict = {}
+    model_digests(out)
+    cli_digests(out)
+    return out
+
+
+def overall(table: dict) -> str:
+    return sha("".join(f"{name} {digest}\n" for name, digest in table.items()))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--against", type=Path, default=None,
+                        help="root of another source tree to compare with")
+    parser.add_argument("--src", type=Path, default=SRC, help=argparse.SUPPRESS)
+    parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+
+    child = None
+    if args.against is not None:
+        other = (args.against / "src").resolve()
+        if not (other / "hsttn").is_dir():
+            parser.error(f"{args.against} has no src/hsttn")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        # the other tree's set runs beside this one's
+        child = subprocess.Popen([sys.executable, __file__, "--src", str(other), "--json"],
+                                 stdout=subprocess.PIPE, env=env, text=True)
+    mine = digests(args.src.resolve())
+    if args.json:
+        print(json.dumps(mine))
+        return 0
+    if child is None:
+        for name, digest in mine.items():
+            print(f"{digest}  {name}")
+        print(f"{overall(mine)}  overall ({len(mine)} arrays and artifacts)")
+        return 0
+
+    stdout, _ = child.communicate()
+    if child.returncode != 0:
+        print(f"the run on {args.against} exited {child.returncode}", file=sys.stderr)
+        return 2
+    theirs = json.loads(stdout.splitlines()[-1])
+    differ = [k for k in {**mine, **theirs} if mine.get(k) != theirs.get(k)]
+    for name in differ:
+        print(f"differs: {name}" + ("" if name in mine and name in theirs
+                                    else " (only in one tree)"))
+    print(f"{len(differ)} of {len({**mine, **theirs})} arrays and artifacts differ; "
+          f"overall {overall(mine)} here, {overall(theirs)} in {args.against}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -277,6 +277,28 @@ def mix(weights: Tensor, values: Tensor) -> Tensor:
     return _op(products.sum(axis=-2), (weights, values), rule)
 
 
+# score elements `attend` computes at a time, in whole sequences and at least
+# one; no size from 2**14 to 2**18 beat 2**16 (one paper-scale sequence,
+# 0.5 MiB) on a paper-scale training step
+_CHUNK_SCORES = 2**16
+
+
+def _chunks(lead: tuple[int, ...], scores_per_seq: int) -> list[tuple]:
+    """Basic-slice index tuples that cover the leading axes `lead` in
+    chunks of whole sequences, as many as fit in `_CHUNK_SCORES` score
+    elements: the innermost axes that fit are taken whole, the next one in
+    slices, and the outer ones one index at a time. `[()]` when all fit."""
+    fit, inner, j = max(1, _CHUNK_SCORES // scores_per_seq), 1, len(lead)
+    while j and inner * lead[j - 1] <= fit:
+        j -= 1
+        inner *= lead[j]
+    if j == 0:
+        return [()]
+    step = fit // inner
+    return [outer + (slice(s, s + step),) for outer in np.ndindex(*lead[:j - 1])
+            for s in range(0, lead[j - 1], step)]
+
+
 def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
            n_heads: int, axis: int = -2, probs: list | None = None) -> Tensor:
     """Multi-head scaled dot-product attention with its output projection
@@ -290,13 +312,14 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     lexicographic sort of their float64 bit patterns, so rows tie only
     when bitwise identical and every sum over keys runs in one order
     however the caller numbered them. The forward projects q = query @ wq
-    / sqrt(dk), k = rows @ wk and v = rows @ wv, and turns the scores
-    q @ k^T into probabilities in place, so one (..., heads, Lq, Lk) array
-    exists per call. The op saves the query, the rows, q, k, v, the heads'
-    contexts and each score row's max and normaliser, never the
-    probabilities: the backward recomputes them bitwise. A `probs` list
-    receives them in sequence layout; they and the keys' gradient are
-    scattered back into the caller's key order.
+    / sqrt(dk), k = rows @ wk and v = rows @ wv. It then runs a few whole
+    sequences at a time (`_chunks`), turning each chunk's scores q @ k^T
+    into probabilities in place, so one chunk of (heads, Lq, Lk) scores
+    exists at a time and stays in cache. The op saves the query, the rows,
+    q, k, v, the heads' contexts and each score row's max and normaliser,
+    never the probabilities: the backward recomputes them bitwise, chunk
+    by chunk. A `probs` list receives them in sequence layout; they and the
+    keys' gradient are scattered back into the caller's key order.
     """
     nd = query.ndim
     fits = nd >= 2 and keys.ndim == nd and axis != -1 and axis in range(-nd, nd - 1)
@@ -330,14 +353,20 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     k_proj = np.matmul(rows, wk.data)
     v_proj = np.matmul(rows, wv.data)
     q, k, v = split_heads(q_proj), split_heads(k_proj), split_heads(v_proj)
-    p = np.matmul(q, np.swapaxes(k, -1, -2))
-    stats = _softmax_in_place(p)
+    chunks = _chunks(lead, q.shape[-3] * q.shape[-2] * k.shape[-2])
+    # each chunk's results go into arrays laid out as the whole products' are
+    ctx, peak, norm = (np.empty(q.shape[:-1] + (n,)) for n in (v.shape[-1], 1, 1))
     if probs is not None:
-        # column j belongs to key order[j]: scatter it back to that column
-        probs.append(np.empty_like(p))
-        np.put_along_axis(probs[-1], order[..., None, None, :], p, axis=-1)
-    ctx = merge_heads(np.matmul(p, v))
-    del p
+        probs.append(np.empty(q.shape[:-1] + k.shape[-2:-1]))
+    for ix in chunks:
+        p = np.matmul(q[ix], np.swapaxes(k[ix], -1, -2))
+        peak[ix], norm[ix] = _softmax_in_place(p)
+        if probs is not None:
+            # column j belongs to key order[j]: scatter it back to that column
+            np.put_along_axis(probs[-1][ix], order[ix][..., None, None, :], p, axis=-1)
+        ctx[ix] = np.matmul(p, v[ix])
+        del p  # before the next chunk's scores, which can then reuse its memory
+    ctx = merge_heads(ctx)
     # self-attention along a swapped axis gives its input one gradient, the
     # query's plus the keys', the sum order that checkpoints were trained in
     merged = query is keys and axis % nd != nd - 2
@@ -352,14 +381,17 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
         g_wo = np.tensordot(ctx, g, axes=(axes, axes))
         del g, ctx  # each the size of the output, freed before the attention products
         g_ctx = split_heads(g_ctx)
-        p = np.matmul(q, np.swapaxes(k, -1, -2))
-        _softmax_in_place(p, stats)
-        g_v = np.matmul(np.swapaxes(p, -1, -2), g_ctx)
-        g_p = _softmax_grad_in_place(np.matmul(g_ctx, np.swapaxes(v, -1, -2)), p)
-        del p  # free the (..., Lq, Lk) probabilities before the next products
-        g_q = np.matmul(g_p, k)
-        g_k = np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), g_p), -1, -2)
-        del g_p
+        # laid out as the whole products were; g_k as the transpose of q^T @ g_p
+        g_q, g_v = np.empty(q.shape), np.empty(v.shape)
+        g_k = np.swapaxes(np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2])), -1, -2)
+        for ix in chunks:
+            p = np.matmul(q[ix], np.swapaxes(k[ix], -1, -2))
+            _softmax_in_place(p, (peak[ix], norm[ix]))
+            g_v[ix] = np.matmul(np.swapaxes(p, -1, -2), g_ctx[ix])
+            g_p = _softmax_grad_in_place(np.matmul(g_ctx[ix], np.swapaxes(v[ix], -1, -2)), p)
+            g_q[ix] = np.matmul(g_p, k[ix])
+            g_k[ix] = np.swapaxes(np.matmul(np.swapaxes(q[ix], -1, -2), g_p), -1, -2)
+            del p, g_p
         g_v, g_k = merge_heads(g_v), merge_heads(g_k)
         g_rows = np.matmul(g_v, wv.data.T)
         g_wv = np.tensordot(rows, g_v, axes=(axes, axes))

@@ -185,7 +185,10 @@ def cmd_train(args) -> int:
     train_windows = make_windows(rs, h, f, cfg.train_stride, *splits["train"])
     val_windows = make_windows(rs, h, f, cfg.val_stride, *splits["val"])
 
-    model = HSTTN(model_cfg, seed=cfg.training.seed)
+    try:
+        model = HSTTN(model_cfg, seed=cfg.training.seed)
+    except ValueError as exc:  # numpy: an array too large to build
+        raise ConfigError(f"{args.config}: cannot build the model it describes: {exc}") from None
     best, records = train(model, train_windows, val_windows, cfg.training,
                           stats, schema=rs.schema)
 

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from hsttn import autodiff
 from hsttn.autodiff import (
     GradTape,
     RngStream,
@@ -191,6 +193,57 @@ class TestAttend:
         assert np.array_equal(g_keys, np.swapaxes(swapped[2], -3, -2))
         for got, want in zip(g_weights, swapped[3]):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lead", [(), (1,), (7,), (2, 5), (3, 2, 2), (2, 1, 3)])
+    def test_chunks_cover_every_sequence_once(self, monkeypatch, lead):
+        # whole sequences, at most as many as fit and at least one, each once
+        total = math.prod(lead)
+        for fit in range(1, total + 2):
+            monkeypatch.setattr(autodiff, "_CHUNK_SCORES", 6 * fit)
+            chunks = autodiff._chunks(lead, 6)
+            seen = np.zeros(lead, dtype=int)
+            for ix in chunks:
+                seen[ix] += 1
+                assert 1 <= seen[ix].size <= fit
+            assert (seen == 1).all()
+            assert (chunks == [()]) == (fit >= total)
+        monkeypatch.setattr(autodiff, "_CHUNK_SCORES", 5)
+        assert len(autodiff._chunks(lead, 6)) == total
+
+    @pytest.mark.parametrize("lead, axis, self_attention", [
+        ((2, 5), -2, False), ((2, 5), -3, False), ((2, 5), -3, True), ((3, 2, 2), -2, True)])
+    def test_chunk_size_changes_no_bit(self, monkeypatch, lead, axis, self_attention):
+        # chunks of 1, 2 and 3 sequences give the whole call's output, its six
+        # gradients and its probabilities bitwise; a chunk boundary falls
+        # inside a leading axis, and with (3, 2, 2) a chunk spans two axes
+        rng = np.random.default_rng(18)
+        n_heads, lq, lk = 2, 3, 4
+        weights = attention_weights(rng, 4, 6, 4, d_out=3)
+        query = rng.normal(size=lead + (lk if self_attention else lq, 4))
+        keys = query if self_attention else rng.normal(size=lead + (lk, 4))
+        keys[..., 1, :] = keys[..., 0, :]
+        proj = rng.normal(size=query.shape[:-1] + (3,))
+        query, keys, proj = (np.swapaxes(a, axis, -2) for a in (query, keys, proj))
+        per_seq = n_heads * lk * (lk if self_attention else lq)
+
+        def run(seqs):
+            monkeypatch.setattr(autodiff, "_CHUNK_SCORES", seqs * per_seq)
+            ws = [leaf(w.data) for w in weights]
+            q = leaf(query)
+            k = q if self_attention else leaf(keys)
+            probs = []
+            with GradTape() as tape:
+                out = attend(q, k, *ws, n_heads, axis=axis, probs=probs)
+                loss = sum_all(mul(out, Tensor(proj)))
+            backward(loss, tape)
+            return [out.data, q.grad, k.grad, *(w.grad for w in ws), probs[0]]
+
+        whole = run(math.prod(lead))
+        for seqs in (1, 2, 3):
+            chunked = run(seqs)
+            assert len(autodiff._chunks(lead, per_seq)) > 1
+            for got, want in zip(chunked, whole):
+                assert np.array_equal(got, want)
 
     def test_one_score_array_per_call(self):
         # the probabilities overwrite the scores: 8 heads x 64 x 64 is 256 KiB
@@ -459,11 +512,12 @@ class TestBackward:
         assert peak < 4 * 2**20
         assert x.grad[0] == 1.5 ** k
 
-    def test_replay_frees_attention_output_gradient_and_context(self):
-        # 256 sequences of 32 steps: the attention output, its gradient and
-        # the heads' contexts are 1 MiB each, the probabilities 2 MiB. The
-        # rule's peak is 6 MiB above the recorded tape while it holds none
-        # of the three once used, and 7 MiB if any one stays alive
+    def test_replay_frees_attention_output_gradient_and_context(self, monkeypatch):
+        # 256 sequences of 32 steps in one chunk: the attention output, its
+        # gradient and the heads' contexts are 1 MiB each, the probabilities
+        # 2 MiB. The rule's peak is 6 MiB above the recorded tape while it
+        # holds none of the three once used, and 7 MiB if any one stays alive
+        monkeypatch.setattr(autodiff, "_CHUNK_SCORES", 256 * 32 * 32)
         rng = np.random.default_rng(16)
         x = leaf(rng.normal(size=(256, 32, 2)) / 4)
         weights = attention_weights(rng, 2, 1, 16, d_out=16)
@@ -495,6 +549,40 @@ class TestMix:
         assert np.array_equal(out, out_p)
 
 
+def attend_instance(rng, i: int, lead: tuple[int, ...]):
+    """Grad-check instance `i` of `attend` over the leading axes `lead`:
+    the scalar function of the probed input, that input, and the scores
+    one sequence has. The probe is each input in turn (query, keys, wq,
+    wk, wv, wo), and for every seventh instance one tensor that is both
+    query and keys; every fourth duplicates a key row."""
+    probe, self_attention = i % 7, i % 7 == 6
+    axis = -3 if lead and i // 7 % 2 else -2
+    n_heads, d = int(rng.integers(1, 3)), int(rng.integers(1, 4))
+    dk, dv, d_out = (int(n) for n in rng.integers(1, 3, size=3))
+    lk = int(rng.integers(1, 5))
+    lq = lk if self_attention else int(rng.integers(1, 4))
+    kv = rng.normal(size=lead + (lk, d))
+    if lk > 1 and i % 4 == 0:
+        kv[..., 1, :] = kv[..., 0, :]
+    # drawn in sequence layout, (..., L, d), then swapped to the caller's
+    inputs = [rng.normal(size=lead + (lq, d)), kv,
+              *(rng.normal(size=(d, n_heads * w)) for w in (dk, dk, dv)),
+              rng.normal(size=(n_heads * dv, d_out))]
+    if self_attention:
+        inputs[0], probe = kv, 1
+    inputs[:2] = (np.swapaxes(a, axis, -2) for a in inputs[:2])
+    proj = Tensor(np.swapaxes(rng.normal(size=lead + (lq, d_out)), axis, -2))
+
+    def f(x):
+        args = [Tensor(a) for a in inputs]
+        args[probe] = x
+        if self_attention:
+            args[0] = x
+        return sum_all(mul(attend(*args, n_heads, axis=axis), proj))
+
+    return f, Tensor(inputs[probe]), n_heads * lq * lk
+
+
 class TestGradCheck:
     def test_sum_is_exact(self):
         report = grad_check(sum_all, Tensor(np.arange(6.0).reshape(2, 3)))
@@ -520,38 +608,22 @@ class TestGradCheck:
     def test_attend_100_instances(self):
         # self and cross attention, 0-2 extra leading axes, Lq != Lk,
         # duplicated key rows; inputs of rank 3 or more attend along axis -2
-        # or, every other round of probes, -3. The probe is each input in
-        # turn (query, keys, wq, wk, wv, wo), and for self attention one
-        # tensor that is both query and keys
+        # or, every other round of probes, -3
         rng = np.random.default_rng(10)
         for i in range(140):
-            probe, self_attention = i % 7, i % 7 == 6
             lead = tuple(int(n) for n in rng.integers(1, 3, size=rng.integers(0, 3)))
-            axis = -3 if lead and i // 7 % 2 else -2
-            n_heads, d = int(rng.integers(1, 3)), int(rng.integers(1, 4))
-            dk, dv, d_out = (int(n) for n in rng.integers(1, 3, size=3))
-            lk = int(rng.integers(1, 5))
-            lq = lk if self_attention else int(rng.integers(1, 4))
-            kv = rng.normal(size=lead + (lk, d))
-            if lk > 1 and i % 4 == 0:
-                kv[..., 1, :] = kv[..., 0, :]
-            # drawn in sequence layout, (..., L, d), then swapped to the caller's
-            inputs = [rng.normal(size=lead + (lq, d)), kv,
-                      *(rng.normal(size=(d, n_heads * w)) for w in (dk, dk, dv)),
-                      rng.normal(size=(n_heads * dv, d_out))]
-            if self_attention:
-                inputs[0], probe = kv, 1
-            inputs[:2] = (np.swapaxes(a, axis, -2) for a in inputs[:2])
-            proj = Tensor(np.swapaxes(rng.normal(size=lead + (lq, d_out)), axis, -2))
+            f, x, _ = attend_instance(rng, i, lead)
+            report = grad_check(f, x, eps=1e-5, tol=1e-4)
+            assert report.passed, (i, report.max_rel_error)
 
-            def f(x):
-                args = [Tensor(a) for a in inputs]
-                args[probe] = x
-                if self_attention:
-                    args[0] = x
-                return sum_all(mul(attend(*args, n_heads, axis=axis), proj))
-
-            report = grad_check(f, Tensor(inputs[probe]), eps=1e-5, tol=1e-4)
+    @pytest.mark.parametrize("seqs", [1, 2])
+    def test_attend_in_chunks_42_instances(self, monkeypatch, seqs):
+        # as above on 5 or 6 sequences, run `seqs` whole sequences at a time
+        rng = np.random.default_rng(20 + seqs)
+        for i in range(42):
+            f, x, scores_per_seq = attend_instance(rng, i, ((2, 3), (5,), (3, 2))[i % 3])
+            monkeypatch.setattr(autodiff, "_CHUNK_SCORES", seqs * scores_per_seq)
+            report = grad_check(f, x, eps=1e-5, tol=1e-4)
             assert report.passed, (i, report.max_rel_error)
 
     def test_broadcast_to_100_instances(self):

@@ -216,6 +216,19 @@ class TestTrain:
                      "--out", str(tmp_path / "out")]) == 2
         assert "error: out of memory: Unable to allocate 298. GiB" in capsys.readouterr().err
 
+    def test_model_too_large_to_build_is_usage_error(self, workspace, tmp_path, capsys):
+        # numpy refuses a (channels, 10**30) weight with a ValueError
+        for name in ("synthetic.csv", "synthetic.schema"):
+            (tmp_path / name).write_bytes((workspace / name).read_bytes())
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text((workspace / "run.cfg").read_text().replace("d_model = 4",
+                                                                   f"d_model = {10 ** 30}"))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}: cannot build the model it describes: "
+            "Maximum allowed dimension exceeded"]
+        assert not (tmp_path / "run_out").exists()
+
     def test_overflowing_channel_is_numeric_error(self, workspace, tmp_path, capsys):
         # every Patv reading is finite, but their mean overflows to inf
         (tmp_path / "run.cfg").write_text((workspace / "run.cfg").read_text())

@@ -333,11 +333,15 @@ class TestBlockwiseLoad:
             write_csv(rs, root / "by_block.csv")
         assert (root / "by_block.csv").read_bytes() == (root / "by_row.csv").read_bytes()
 
-    def test_writer_memory_is_bounded_by_the_block(self, tmp_path):
-        """The text of one block is alive at a time: about 3 MB, where a
-        whole turbine of 200,000 rows formatted at once took about 300 MB."""
+    def test_writer_memory_is_bounded_by_the_block(self, tmp_path, monkeypatch):
+        """The text of one block is alive at a time. In blocks of 64 rows
+        the peak is about 0.3 MB at 3,125 rows and at 12,500; a whole
+        turbine of 12,500 rows formatted at once takes about 19 MB. At 16
+        times the scale, blocks of 1,024 rows peaked at about 3 MB at 50,000
+        and 200,000 rows, and 200,000 rows at once at about 300 MB."""
         peaks = []
-        for t in (50_000, 200_000):
+        for block, t in ((64, 3_125), (64, 12_500), (10 ** 9, 12_500)):
+            monkeypatch.setattr("hsttn.data._BLOCK_ROWS", block)
             rs = synth_generate(1, t, 13, seed=6)
             tracemalloc.start()
             try:
@@ -345,7 +349,7 @@ class TestBlockwiseLoad:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] < 8_000_000 and abs(peaks[1] - peaks[0]) < 1_000_000
+        assert peaks[1] < 500_000 < peaks[2] and abs(peaks[1] - peaks[0]) < 62_500
 
     def test_memory_is_bounded_by_the_block(self, tmp_path, monkeypatch):
         """About 20k rows peak at 7 MB in blocks of 1,024 rows, at 14 MB in

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hsttn import autodiff
 from hsttn.autodiff import GradTape, RngStream, Tensor, backward, pointwise_conv
 from hsttn.errors import ConfigError, ContractError, ShapeError
 from hsttn.model import (
@@ -696,6 +697,18 @@ class TestWindowBatch:
         assert len(tape.nodes) == 101
         backward(loss, tape)
         assert all(t.grad is not None for t in model.params.trainable().values())
+
+    def test_four_window_forward_attends_in_one_chunk_per_call(self, monkeypatch):
+        # desk-scale attention fits one chunk: each call does its work whole
+        chunks, calls = autodiff._chunks, []
+
+        def record(lead, scores_per_seq):
+            calls.append(chunks(lead, scores_per_seq))
+            return calls[-1]
+
+        monkeypatch.setattr(autodiff, "_chunks", record)
+        HSTTN(DESK, seed=44).forward(Tensor(window_batch(44)))
+        assert len(calls) == 24 and all(c == [()] for c in calls)
 
     @pytest.mark.parametrize("shape", [(4, 24, 6), (3, 24, 5), (2, 4, 12, 5), (24, 5)])
     def test_trailing_shape_checked(self, shape):

@@ -11,13 +11,24 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 BENCH = SCRIPTS.parent / "bench"
 
 
-@pytest.mark.parametrize("script", ["run_synth_experiment.py", "run_variant_sweep.py"])
+@pytest.mark.parametrize("script", ["run_synth_experiment.py", "run_variant_sweep.py",
+                                    "bitwise_digest.py"])
 def test_script_imports_and_parses_help(script):
     # --help imports every public name the script uses, then exits 0
     result = subprocess.run([sys.executable, str(SCRIPTS / script), "--help"],
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert "usage:" in result.stdout
+
+
+def test_bitwise_digest_finds_no_difference_between_a_tree_and_itself():
+    result = subprocess.run([sys.executable, str(SCRIPTS / "bitwise_digest.py"),
+                             "--against", str(SCRIPTS.parent)],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    # no `differs:` line, only the summary
+    [summary] = result.stdout.splitlines()
+    assert summary.startswith("0 of ") and " arrays and artifacts differ" in summary
 
 
 def test_every_exported_name_resolves():
