@@ -283,20 +283,12 @@ def mix(weights: Tensor, values: Tensor) -> Tensor:
 _CHUNK_SCORES = 2**16
 
 
-def _chunks(lead: tuple[int, ...], scores_per_seq: int) -> list[tuple]:
-    """Basic-slice index tuples that cover the leading axes `lead` in
-    chunks of whole sequences, as many as fit in `_CHUNK_SCORES` score
-    elements: the innermost axes that fit are taken whole, the next one in
-    slices, and the outer ones one index at a time. `[()]` when all fit."""
-    fit, inner, j = max(1, _CHUNK_SCORES // scores_per_seq), 1, len(lead)
-    while j and inner * lead[j - 1] <= fit:
-        j -= 1
-        inner *= lead[j]
-    if j == 0:
-        return [()]
-    step = fit // inner
-    return [outer + (slice(s, s + step),) for outer in np.ndindex(*lead[:j - 1])
-            for s in range(0, lead[j - 1], step)]
+def _chunks(n_seqs: int, scores_per_seq: int) -> list[slice]:
+    """Slices that cover `n_seqs` sequences in runs of whole sequences, as
+    many as fit in `_CHUNK_SCORES` score elements and at least one; one
+    slice of all of them when all fit."""
+    step = max(1, min(n_seqs, _CHUNK_SCORES // scores_per_seq))
+    return [slice(s, s + step) for s in range(0, n_seqs, step)]
 
 
 def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
@@ -312,7 +304,9 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     lexicographic sort of their float64 bit patterns, so rows tie only
     when bitwise identical and every sum over keys runs in one order
     however the caller numbered them. The forward projects q = query @ wq
-    / sqrt(dk), k = rows @ wk and v = rows @ wv. It then runs a few whole
+    / sqrt(dk), k = rows @ wk and v = rows @ wv, and views each as
+    (sequences, heads, L, width): the other leading axes become one axis
+    of independent sequences. It then runs a slice of a few whole
     sequences at a time (`_chunks`), turning each chunk's scores q @ k^T
     into probabilities in place, so one chunk of (heads, Lq, Lk) scores
     exists at a time and stays in cache. The op saves the query, the rows,
@@ -340,8 +334,9 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     c = 1.0 / math.sqrt(wq.shape[1] // n_heads)
 
     def split_heads(a: np.ndarray) -> np.ndarray:
-        """(..., L, heads * width) -> (..., heads, L, width), a view."""
-        return np.swapaxes(a.reshape(a.shape[:-1] + (n_heads, -1)), -3, -2)
+        """(..., L, heads * width) -> (sequences, heads, L, width), a view
+        of the C-contiguous `a`."""
+        return np.swapaxes(a.reshape(-1, a.shape[-2], n_heads, a.shape[-1] // n_heads), 1, 2)
 
     def merge_heads(a: np.ndarray) -> np.ndarray:
         return np.swapaxes(a, -3, -2).reshape(lead + (-1, n_heads * a.shape[-1]))
@@ -353,17 +348,19 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     k_proj = np.matmul(rows, wk.data)
     v_proj = np.matmul(rows, wv.data)
     q, k, v = split_heads(q_proj), split_heads(k_proj), split_heads(v_proj)
-    chunks = _chunks(lead, q.shape[-3] * q.shape[-2] * k.shape[-2])
+    chunks = _chunks(len(q), q.shape[1] * q.shape[2] * k.shape[2])
     # each chunk's results go into arrays laid out as the whole products' are
     ctx, peak, norm = (np.empty(q.shape[:-1] + (n,)) for n in (v.shape[-1], 1, 1))
     if probs is not None:
-        probs.append(np.empty(q.shape[:-1] + k.shape[-2:-1]))
+        seq_probs = np.empty(q.shape[:-1] + k.shape[2:3])
+        probs.append(seq_probs.reshape(lead + seq_probs.shape[1:]))
+        seq_order = order.reshape(-1, 1, 1, k.shape[2])
     for ix in chunks:
         p = np.matmul(q[ix], np.swapaxes(k[ix], -1, -2))
         peak[ix], norm[ix] = _softmax_in_place(p)
         if probs is not None:
             # column j belongs to key order[j]: scatter it back to that column
-            np.put_along_axis(probs[-1][ix], order[ix][..., None, None, :], p, axis=-1)
+            np.put_along_axis(seq_probs[ix], seq_order[ix], p, axis=-1)
         ctx[ix] = np.matmul(p, v[ix])
         del p  # before the next chunk's scores, which can then reuse its memory
     ctx = merge_heads(ctx)
@@ -440,17 +437,16 @@ def relu(a: Tensor) -> Tensor:
     return _op(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
-def _softmax_in_place(s: np.ndarray, stats=None, sorted_sum: bool = False):
+def _softmax_in_place(s: np.ndarray, stats=None):
     """Overwrite scores `s` with their stable softmax over the last axis
     and return each row's (max, normaliser). Given the `stats` of an
     earlier call on the same scores, it reproduces that call's output
-    bitwise without summing again. A sorted normaliser does not depend on
-    the order of the row's entries."""
+    bitwise without summing again."""
     peak = s.max(axis=-1, keepdims=True) if stats is None else stats[0]
     s -= peak
     np.exp(s, out=s)
     if stats is None:
-        stats = peak, (np.sort(s, axis=-1) if sorted_sum else s).sum(axis=-1, keepdims=True)
+        stats = peak, s.sum(axis=-1, keepdims=True)
     s /= stats[1]
     return stats
 
@@ -472,8 +468,8 @@ def softmax_rows(a: Tensor) -> Tensor:
     """
     if a.ndim < 1 or a.shape[-1] < 1:
         raise ShapeError(f"softmax_rows needs a non-empty last axis, got shape {a.shape}")
-    y = a.data.copy()
-    _softmax_in_place(y, sorted_sum=True)
+    y = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    y /= np.sort(y, axis=-1).sum(axis=-1, keepdims=True)
     return _op(y, (a,), lambda g: (_softmax_grad_in_place(g.copy(), y),))
 
 

@@ -55,6 +55,9 @@ class Schema:
             name = getattr(self, role)
             if name is not None and name not in self.channels:
                 raise ConfigError(f"{role} column {name!r} is not one of the channels")
+        columns = [self.id_column, self.day_column, self.time_column, *self.channels]
+        if repeated := sorted({c for c in columns if columns.count(c) > 1}):
+            raise ConfigError(f"column name(s) {repeated} repeated in the schema")
         if self.step_minutes < 1 or MINUTES_PER_DAY % self.step_minutes != 0:
             raise ConfigError(f"step_minutes must divide a day, got {self.step_minutes}")
 

@@ -13,7 +13,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .data import NormStats, SampleWindow
 from .errors import EvaluationError
 from .model import HSTTN
@@ -117,7 +116,7 @@ def predict_window(model: HSTTN, window: SampleWindow, stats: NormStats,
                    target_channel: int) -> np.ndarray:
     """Denormalized (N, F) predictions for one window; non-finite values
     are an error, never a forecast."""
-    y_hat = stats.invert(model.forward(Tensor(window.history)).data[:, :, 0], target_channel)
+    y_hat = stats.invert(model.predict(window.history)[:, :, 0], target_channel)
     if not np.isfinite(y_hat).all():
         raise EvaluationError(f"non-finite predictions for the window at origin {window.origin}")
     return y_hat

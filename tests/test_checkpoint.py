@@ -141,6 +141,7 @@ class TestCheckpoint:
         lambda h: h["schema"].update(step_minutes=10),
         lambda h: h["schema"].update(target="x"),
         lambda h: h["schema"].update(traget="c"),
+        lambda h: h["schema"].update(channels="a,a,c"),
         lambda h: h["schema"].pop("channels"),
         lambda h: h["model_config"].pop("d_model"),
         lambda h: h["model_config"].update(d_model="4"),

@@ -276,6 +276,17 @@ class TestTrain:
         assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 2
         assert "traget" in capsys.readouterr().err
 
+    def test_schema_repeating_a_column_is_usage_error(self, workspace, tmp_path, capsys):
+        # without the refusal two channels read the same CSV column, and a
+        # grid written back gets a header that the loader refuses
+        (tmp_path / "run.cfg").write_text((workspace / "run.cfg").read_text())
+        (tmp_path / "synthetic.csv").write_text((workspace / "synthetic.csv").read_text())
+        text = (workspace / "synthetic.schema").read_text()
+        (tmp_path / "synthetic.schema").write_text(
+            text.replace("channels = Wspd,", "channels = Wspd,Wspd,"))
+        assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 2
+        assert "['Wspd'] repeated in the schema" in capsys.readouterr().err
+
     def test_sparse_day_span_is_io_error(self, workspace, tmp_path, capsys):
         (tmp_path / "run.cfg").write_text((workspace / "run.cfg").read_text())
         (tmp_path / "synthetic.schema").write_text(

@@ -660,6 +660,17 @@ class TestSchemaFile:
         with pytest.raises(ConfigError, match="traget"):
             Schema.load(path)
 
+    @pytest.mark.parametrize("text", [
+        "channels = Wspd,Wspd,Patv\n",
+        "channels = TurbID,Patv\n",
+        "channels = Wspd,Patv\ntime_column = Day\n",
+    ])
+    def test_repeated_column_name_refused(self, tmp_path, text):
+        path = tmp_path / "repeat.schema"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="repeated in the schema"):
+            Schema.load(path)
+
     def test_target_must_be_channel(self):
         with pytest.raises(ConfigError):
             Schema(channels=("A", "B"), target="C", wind_speed=None,

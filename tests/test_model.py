@@ -702,13 +702,13 @@ class TestWindowBatch:
         # desk-scale attention fits one chunk: each call does its work whole
         chunks, calls = autodiff._chunks, []
 
-        def record(lead, scores_per_seq):
-            calls.append(chunks(lead, scores_per_seq))
-            return calls[-1]
+        def record(n_seqs, scores_per_seq):
+            calls.append((n_seqs, chunks(n_seqs, scores_per_seq)))
+            return calls[-1][1]
 
         monkeypatch.setattr(autodiff, "_chunks", record)
         HSTTN(DESK, seed=44).forward(Tensor(window_batch(44)))
-        assert len(calls) == 24 and all(c == [()] for c in calls)
+        assert len(calls) == 24 and all(c == [slice(0, n)] for n, c in calls)
 
     @pytest.mark.parametrize("shape", [(4, 24, 6), (3, 24, 5), (2, 4, 12, 5), (24, 5)])
     def test_trailing_shape_checked(self, shape):

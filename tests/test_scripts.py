@@ -107,3 +107,23 @@ def test_evaluate_model_predicts_once_per_window_through_the_module(monkeypatch)
     monkeypatch.setattr(evaluation, "predict_window", counted)
     evaluation.evaluate_model(model, windows, stats, rs.target_index)
     assert len(windows) > 1 and len(calls) == len(windows)
+
+
+def test_benchmark_tiny_cycle_passes_its_checks(tmp_path, monkeypatch):
+    # the benchmark's correctness gate in-process: a function the CLI cycle
+    # or the permutation check needs, gone or broken, would otherwise show
+    # only as a benchmark run whose outputs are incorrect
+    monkeypatch.syspath_prepend(str(BENCH))
+    child, tracer = _bench_module("child"), _bench_module("tracer")
+    wl = child.WORKLOADS["tiny"]
+    inputs = child.setup(wl, 0, tmp_path)
+    checks, log = child.Checks(), tracer.CallLog()
+    log.install()
+    try:
+        cycle = child.run_cycle(wl, inputs, log, checks)
+    finally:
+        log.uninstall()
+    assert cycle["complete"]
+    child.end_to_end(wl, [cycle], checks)
+    assert child.permutation_check(wl, inputs)
+    assert checks.attempted > 0 and checks.failures == []
