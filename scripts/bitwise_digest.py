@@ -9,6 +9,10 @@ artifact, then one overall digest:
   each with its loss, every parameter gradient and every attention
   probability array; then the parameters, a prediction for the batch and
   the evaluation report over held-out windows;
+- one `attend` call along axis -2 and one along -3 whose keys tie in
+  their last feature, hold duplicate rows and rows of signed zeros, so the
+  full lexicographic key sort runs: its output, six gradients and
+  probabilities;
 - a `synth` -> `train` -> `evaluate` -> `predict` flow through the CLI,
   with every file it writes.
 
@@ -116,6 +120,42 @@ def model_digests(out: dict) -> None:
             out[f"{prefix}/report.csv"] = sha(json.dumps(report.to_csv_rows()))
 
 
+def tied_keys(rng) -> np.ndarray:
+    """(3, 4, 9, 8) key sequences: in all but one, two rows share only their
+    last feature, two rows are duplicates and two are zeros that differ in
+    the sign of one, at shuffled positions."""
+    keys = rng.normal(size=(3, 4, 9, 8))
+    tied = np.ones((3, 4), dtype=bool)
+    tied[1, 2] = False
+    keys[tied, 1, -1] = keys[tied, 0, -1]
+    keys[tied, 3] = keys[tied, 2]
+    keys[tied, 4:6] = 0.0
+    keys[tied, 5, 1] = -0.0
+    perm = np.argsort(rng.random((3, 4, 9)), axis=-1)
+    return np.take_along_axis(keys, perm[..., None], axis=-2)
+
+
+def attend_digests(out: dict) -> None:
+    from hsttn import GradTape, Tensor, backward
+    from hsttn.autodiff import attend, mul, sum_all
+
+    rng = np.random.default_rng(SEED)
+    keys = tied_keys(rng)
+    query, proj = rng.normal(size=(3, 4, 5, 8)), rng.normal(size=(3, 4, 5, 6))
+    weights = [rng.normal(size=shape) for shape in ((8, 6), (8, 6), (8, 4), (4, 6))]
+    for axis in (-2, -3):
+        q, k = (Tensor(np.swapaxes(a, axis, -2), requires_grad=True) for a in (query, keys))
+        ws = [Tensor(w, requires_grad=True) for w in weights]
+        probs: list = []
+        with GradTape() as tape:
+            y = attend(q, k, *ws, 2, axis=axis, probs=probs)
+            loss = sum_all(mul(y, Tensor(np.swapaxes(proj, axis, -2))))
+        backward(loss, tape)
+        for name, a in zip(("out", "query", "keys", "wq", "wk", "wv", "wo", "probs"),
+                           (y.data, q.grad, k.grad, *(w.grad for w in ws), probs[0])):
+            out[f"attend/axis{axis}/{name}"] = sha(a)
+
+
 def cli_digests(out: dict) -> None:
     from hsttn.cli import main
 
@@ -149,6 +189,7 @@ def digests(src: Path) -> dict:
     print(f"hsttn from {Path(hsttn.__file__).parent}", file=sys.stderr)
     out: dict = {}
     model_digests(out)
+    attend_digests(out)
     cli_digests(out)
     return out
 

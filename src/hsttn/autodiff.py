@@ -232,13 +232,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
     if b.ndim == 2:
-        def rule(g):
-            ga = np.matmul(g, b.data.T)
-            axes = list(range(a.ndim - 1))
-            gb = np.tensordot(a.data, g, axes=(axes, axes))
-            return ga, gb
-
-        return _op(np.matmul(a.data, b.data), (a, b), rule)
+        return _op(np.matmul(a.data, b.data), (a, b),
+                   lambda g: (np.matmul(g, b.data.T), _weight_grad(a.data, g)))
     if a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]:
         raise ShapeError(f"matmul batch dimensions disagree: {a.shape} x {b.shape}")
 
@@ -281,6 +276,24 @@ def mix(weights: Tensor, values: Tensor) -> Tensor:
 # one; no size from 2**14 to 2**18 beat 2**16 (one paper-scale sequence,
 # 0.5 MiB) on a paper-scale training step
 _CHUNK_SCORES = 2**16
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """`np.tensordot(a, g)` over all but the last axis, bitwise: in its own layout."""
+    return np.matmul(a.transpose((a.ndim - 1, *range(a.ndim - 1))).reshape(a.shape[-1], -1),
+                     g.reshape(-1, g.shape[-1]))
+
+
+def _key_order(keys: np.ndarray) -> np.ndarray:
+    """`np.lexsort` of each (L, d) sequence's float64 bits: a stable sort of the
+    last feature, the full sort only for the sequences that tie in it."""
+    bits = keys.view(np.int64)
+    order = bits[..., -1].argsort(axis=-1, kind="stable")
+    last = np.sort(bits[..., -1], axis=-1)
+    tied = (last[..., 1:] == last[..., :-1]).any(axis=-1)
+    if tied.any():
+        order[tied] = np.lexsort(np.moveaxis(bits[tied], -1, 0), axis=-1)
+    return order
 
 
 def _chunks(n_seqs: int, scores_per_seq: int) -> list[slice]:
@@ -330,7 +343,6 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     if query.shape[-1] != wq.shape[0] or keys.shape[-1] != wq.shape[0]:
         raise ShapeError(f"attention inputs {query.shape} and {keys.shape} do not match "
                          f"weights {wq.shape}")
-    axes = list(range(len(lead) + 1))
     c = 1.0 / math.sqrt(wq.shape[1] // n_heads)
 
     def split_heads(a: np.ndarray) -> np.ndarray:
@@ -341,8 +353,9 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     def merge_heads(a: np.ndarray) -> np.ndarray:
         return np.swapaxes(a, -3, -2).reshape(lead + (-1, n_heads * a.shape[-1]))
 
-    order = np.lexsort(np.moveaxis(x_keys.view(np.int64), -1, 0), axis=-1)
-    rows = np.take_along_axis(x_keys, order[..., None], axis=-2)
+    order = _key_order(x_keys)
+    at = (*(i[..., None] for i in np.indices(lead, sparse=True)), order)
+    rows = x_keys[at]
     q_proj = np.matmul(x_query, wq.data)
     q_proj *= c
     k_proj = np.matmul(rows, wk.data)
@@ -375,7 +388,7 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
         nonlocal ctx
         g = np.swapaxes(g, axis, -2)
         g_ctx = np.matmul(g, wo.data.T)
-        g_wo = np.tensordot(ctx, g, axes=(axes, axes))
+        g_wo = _weight_grad(ctx, g)
         del g, ctx  # each the size of the output, freed before the attention products
         g_ctx = split_heads(g_ctx)
         # laid out as the whole products were; g_k as the transpose of q^T @ g_p
@@ -391,14 +404,14 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
             del p, g_p
         g_v, g_k = merge_heads(g_v), merge_heads(g_k)
         g_rows = np.matmul(g_v, wv.data.T)
-        g_wv = np.tensordot(rows, g_v, axes=(axes, axes))
+        g_wv = _weight_grad(rows, g_v)
         g_rows += np.matmul(g_k, wk.data.T)
-        g_wk = np.tensordot(rows, g_k, axes=(axes, axes))
+        g_wk = _weight_grad(rows, g_k)
         g_q = merge_heads(g_q) * c
         g_query = np.matmul(g_q, wq.data.T)
-        g_wq = np.tensordot(x_query, g_q, axes=(axes, axes))
+        g_wq = _weight_grad(x_query, g_q)
         g_keys = np.empty_like(g_rows)
-        np.put_along_axis(g_keys, order[..., None], g_rows, axis=-2)
+        g_keys[at] = g_rows
         if merged:
             g_query, g_keys = g_query + g_keys, None
         else:

@@ -114,6 +114,9 @@ class RunConfig:
             (values[section] if section else values)[f.name] = value
         values["training"] = TrainConfig(**values["training"])
         cfg = cls(**values)
+        for key in ("train_stride", "val_stride"):
+            if getattr(cfg, key) < 1:
+                raise ConfigError(f"{path}: key {key!r} must be positive, got {getattr(cfg, key)}")
         # the dataset-derived dims are checked once the data is loaded
         cfg.model_config(n_turbines=1, n_channels=1)
         base = Path(path).parent

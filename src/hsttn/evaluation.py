@@ -93,12 +93,11 @@ def _masked_report(y: np.ndarray, y_hat: np.ndarray, mask: np.ndarray) -> Metric
     mask = np.asarray(mask, dtype=bool)
     if y.shape != y_hat.shape:
         raise EvaluationError(f"shape mismatch: targets {y.shape} vs predictions {y_hat.shape}")
-    n = y.shape[0]
-    y = y.reshape(n, -1)
-    y_hat = y_hat.reshape(n, -1)
-    mask = mask.reshape(n, -1)
     if mask.shape != y.shape:
-        raise EvaluationError(f"mask shape {mask.shape} does not match samples {y.shape}")
+        raise EvaluationError(f"mask shape {mask.shape} does not match targets {y.shape}")
+    if y.ndim == 0 or len(y) == 0:
+        raise EvaluationError(f"targets of shape {y.shape} hold no turbines")
+    y, y_hat, mask = (a.reshape(len(y), -1) for a in (y, y_hat, mask))
     return MetricReport.from_sums(*_error_sums(y, y_hat, mask), "native", 0)
 
 

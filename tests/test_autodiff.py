@@ -194,6 +194,38 @@ class TestAttend:
         for got, want in zip(g_weights, swapped[3]):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 5)])
+    @pytest.mark.parametrize("ties", ["none", "some", "all"])
+    def test_key_order_is_the_lexsort_of_the_bits(self, lead, ties):
+        # a stable sort of the last feature, with the full sort only where it
+        # ties, is lexsort's permutation: for signed zeros and NaNs of several
+        # bit patterns in every sequence, and in the sequences that tie, rows
+        # that share only their last feature, duplicates and a signed-zero pair
+        rng = np.random.default_rng(19)
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000,
+                         0x7FF0000000000001]).view(np.float64)
+        tied = {"none": np.zeros(lead, dtype=bool), "all": np.ones(lead, dtype=bool),
+                "some": np.arange(math.prod(lead)).reshape(lead) % 2 == 0}[ties]
+        for _ in range(25):
+            keys = rng.normal(size=lead + (8, 4))
+            keys[..., 4, -1], keys[..., 5, -1] = 0.0, -0.0
+            keys[..., 6, -1], keys[..., 7, -1] = rng.choice(nans, 2, replace=False)
+            keys[..., 2, 1], keys[..., 3, 0] = -0.0, rng.choice(nans)
+            rows = keys[tied]
+            rows[:, 1, -1] = rows[:, 0, -1]
+            rows[:, 3] = rows[:, 2]
+            rows[:, 5] = rows[:, 4]
+            rows[:, 4, 0], rows[:, 5, 0] = 0.0, -0.0
+            rows[:, 6, -1] = rows[:, 7, -1]
+            keys[tied] = rows
+            perm = np.argsort(rng.random(lead + (8,)), axis=-1)
+            keys = np.take_along_axis(keys, perm[..., None], axis=-2)
+            last = np.sort(keys.view(np.int64)[..., -1], axis=-1)
+            assert np.array_equal((last[..., 1:] == last[..., :-1]).any(axis=-1), tied)
+            want = np.lexsort(np.moveaxis(keys.view(np.int64), -1, 0), axis=-1)
+            for layout in (keys, np.asfortranarray(keys)):
+                assert np.array_equal(autodiff._key_order(layout), want)
+
     @pytest.mark.parametrize("n_seqs", [1, 2, 3, 7, 10, 12])
     def test_chunks_cover_every_sequence_once(self, monkeypatch, n_seqs):
         # whole sequences, at most as many as fit and at least one, each once

@@ -250,7 +250,9 @@ class TestTrain:
         ("seed = 11", "seed = -1", [], "seed must be non-negative, got -1"),
         ("", "", ["--seed", "-1"], "seed must be non-negative, got -1"),
         ("train_end = 100\n", "", [], "missing required key 'train_end'"),
-    ], ids=["seed_key", "seed_option", "no_train_end"])
+        ("train_stride = 4", "train_stride = 0", [], "key 'train_stride' must be positive, got 0"),
+        ("val_stride = 6", "val_stride = -3", [], "key 'val_stride' must be positive, got -3"),
+    ], ids=["seed_key", "seed_option", "no_train_end", "train_stride", "val_stride"])
     def test_refused_before_the_data_is_read(self, tmp_path, capsys, old, new, option,
                                              message):
         # no data file exists, so reading it would end in exit 3

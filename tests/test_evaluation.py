@@ -133,6 +133,19 @@ class TestMetricProperties:
         with pytest.raises(EvaluationError):
             masked_mae(np.ones((2, 3)), np.zeros((2, 3)), np.zeros((2, 3), dtype=bool))
 
+    @pytest.mark.parametrize("metric", [masked_mae, masked_rmse])
+    def test_mask_of_another_shape_rejected(self, metric):
+        y = np.ones((3, 4))
+        for mask in (np.ones((2, 4), dtype=bool), np.ones((4, 3), dtype=bool)):
+            with pytest.raises(EvaluationError, match=r"mask shape \(\d, \d\) does not match"):
+                metric(y, np.zeros((3, 4)), mask)
+
+    @pytest.mark.parametrize("metric", [masked_mae, masked_rmse])
+    @pytest.mark.parametrize("shape", [(0, 4), (0,), ()])
+    def test_no_turbines_rejected(self, metric, shape):
+        with pytest.raises(EvaluationError, match="hold no turbines"):
+            metric(np.ones(shape), np.zeros(shape), np.ones(shape, dtype=bool))
+
 
 def trained_free_model():
     cfg = ModelConfig(n_turbines=2, history_len=6, horizon_len=6, n_channels=3,
