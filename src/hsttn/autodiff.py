@@ -322,11 +322,11 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     of independent sequences. It then runs a slice of a few whole
     sequences at a time (`_chunks`), turning each chunk's scores q @ k^T
     into probabilities in place, so one chunk of (heads, Lq, Lk) scores
-    exists at a time and stays in cache. The op saves the query, the rows,
-    q, k, v, the heads' contexts and each score row's max and normaliser,
-    never the probabilities: the backward recomputes them bitwise, chunk
-    by chunk. A `probs` list receives them in sequence layout; they and the
-    keys' gradient are scattered back into the caller's key order.
+    exists at a time and stays in cache. The op keeps its inputs, the key
+    order, the heads' contexts and each score row's max and normaliser; its
+    backward rebuilds the rows, q, k, v and, chunk by chunk, the probabilities
+    with the forward's own calls, so bitwise. A `probs` list receives the
+    probabilities in sequence layout, scattered back like the keys' gradient.
     """
     nd = query.ndim
     fits = nd >= 2 and keys.ndim == nd and axis != -1 and axis in range(-nd, nd - 1)
@@ -353,14 +353,17 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     def merge_heads(a: np.ndarray) -> np.ndarray:
         return np.swapaxes(a, -3, -2).reshape(lead + (-1, n_heads * a.shape[-1]))
 
+    def project():
+        """The gathered rows and the q, k and v heads, the same bits each call."""
+        rows = x_keys[at]
+        q_proj = np.matmul(x_query, wq.data)
+        q_proj *= c
+        return rows, *(split_heads(a) for a in (q_proj, np.matmul(rows, wk.data),
+                                                np.matmul(rows, wv.data)))
+
     order = _key_order(x_keys)
     at = (*(i[..., None] for i in np.indices(lead, sparse=True)), order)
-    rows = x_keys[at]
-    q_proj = np.matmul(x_query, wq.data)
-    q_proj *= c
-    k_proj = np.matmul(rows, wk.data)
-    v_proj = np.matmul(rows, wv.data)
-    q, k, v = split_heads(q_proj), split_heads(k_proj), split_heads(v_proj)
+    rows, q, k, v = project()
     chunks = _chunks(len(q), q.shape[1] * q.shape[2] * k.shape[2])
     # each chunk's results go into arrays laid out as the whole products' are
     ctx, peak, norm = (np.empty(q.shape[:-1] + (n,)) for n in (v.shape[-1], 1, 1))
@@ -390,6 +393,7 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
         g_ctx = np.matmul(g, wo.data.T)
         g_wo = _weight_grad(ctx, g)
         del g, ctx  # each the size of the output, freed before the attention products
+        rows, q, k, v = project()
         g_ctx = split_heads(g_ctx)
         # laid out as the whole products were; g_k as the transpose of q^T @ g_p
         g_q, g_v = np.empty(q.shape), np.empty(v.shape)
@@ -402,6 +406,7 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
             g_q[ix] = np.matmul(g_p, k[ix])
             g_k[ix] = np.swapaxes(np.matmul(np.swapaxes(q[ix], -1, -2), g_p), -1, -2)
             del p, g_p
+        del q, k, v  # before the input gradients: about a quarter off a paper-scale peak
         g_v, g_k = merge_heads(g_v), merge_heads(g_k)
         g_rows = np.matmul(g_v, wv.data.T)
         g_wv = _weight_grad(rows, g_v)
@@ -568,8 +573,9 @@ def dropout(x: Tensor, rate: float, training: bool, rng: RngStream | None) -> Te
     if rng is None:
         raise ContractError("dropout in training mode needs an RngStream")
     keep = rng.keep_mask(x.shape, 1.0 - rate)
-    factor = keep.astype(np.float64) / (1.0 - rate)
-    return _op(x.data * factor, (x,), lambda g: (g * factor,))
+    # the rule keeps the boolean mask, an eighth of the float factor's bytes
+    return _op(x.data * (keep.astype(np.float64) / (1.0 - rate)), (x,),
+               lambda g: (g * (keep.astype(np.float64) / (1.0 - rate)),))
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -249,6 +249,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be positive, got {args.stride}")
     ckpt, normed, model = _restore(args.checkpoint, args.data, args.schema)
     h = ckpt.model_config.history_len
     f = ckpt.model_config.horizon_len

@@ -492,6 +492,18 @@ class TestEvaluate:
         assert code == 2
         assert not (tmp_path / "report.kv").exists()
 
+    @pytest.mark.parametrize("data", ["synthetic.csv", "missing.csv"])
+    def test_stride_below_one_is_refused_before_the_data_is_read(self, workspace, tmp_path,
+                                                                 capsys, data):
+        # a missing data file would otherwise end in exit 3
+        code = main(["evaluate", "--checkpoint", str(workspace / "run_out" / "checkpoint.bin"),
+                     "--data", str(workspace / data),
+                     "--schema", str(workspace / "synthetic.schema"),
+                     "--stride", "0", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--stride must be positive, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "report.kv").exists()
+
 
 class TestNonFinite:
     def test_nan_parameters_fail_evaluate_and_predict(self, workspace, tmp_path):
