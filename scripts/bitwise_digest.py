@@ -14,7 +14,10 @@ artifact, then one overall digest:
   full lexicographic key sort runs: its output, six gradients and
   probabilities;
 - a `synth` -> `train` -> `evaluate` -> `predict` flow through the CLI,
-  with every file it writes.
+  with every file it writes;
+- one irregular record file loaded: quoted fields (one over a block
+  boundary), CRLF line ends, empty and blank cells, short rows, blank and
+  comma-only lines and ids above 2**64; its values, validity and ids.
 
 With `--against PATH` the same set also runs on the `src/` of the tree at
 PATH, in a child process, and the names whose digests differ are listed
@@ -182,6 +185,45 @@ def cli_digests(out: dict) -> None:
             out[f"cli/{path.relative_to(root).as_posix()}"] = sha(path.read_bytes())
 
 
+def irregular_csv(path: Path) -> None:
+    """Two turbines over 2,300 ten-minute slots and a third with an id above
+    2**64 at two of them, in CRLF lines. Of the loader's blocks of 1,024
+    lines, the first has empty and blank cells, a short row and blank and
+    comma-only lines, the second none of these, the third the id above 2**64,
+    the fourth a quoted cell whose line break runs into the fifth, which has
+    quoted ids and an empty cell."""
+    rng = np.random.default_rng(SEED)
+    cells = []
+    for t in range(2300):
+        stamp = [str(1 + t // 144), f"{t % 144 // 6:02d}:{t % 6}0"]
+        for tid in (1, 2, 2 ** 64 + 5) if t in (0, 1100) else (1, 2):
+            values = rng.normal(size=3) * 10.0 ** rng.integers(-6, 6, size=3)
+            cells.append([str(tid), *stamp, *map(repr, values.tolist())])
+    cells[50][4] = cells[4400][5] = ""
+    cells[51][3] = "  "
+    cells[60] = cells[60][:4]
+    # line 4097, the fourth block's last, once the three blank lines are in
+    cells[4092][4] = f'"{cells[4092][4]}\r\n"'
+    for row in cells[4300:4302]:
+        row[0] = f'"{row[0]}"'
+    lines = [",".join(row) for row in cells]
+    for at, blank in ((900, " , ,"), (70, ",,,,,"), (40, "")):
+        lines.insert(at, blank)
+    path.write_bytes("\r\n".join(["TurbID,Day,Tmstamp,Wspd,Wdir,Patv", *lines, ""]).encode())
+
+
+def loader_digests(out: dict) -> None:
+    from hsttn.data import Schema, load_records
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "irregular.csv"
+        irregular_csv(path)
+        rs = load_records(path, Schema(channels=("Wspd", "Wdir", "Patv"), nacelle_direction=None))
+    out["loader/values"] = sha(rs.values)
+    out["loader/validity"] = sha(rs.validity)
+    out["loader/turbine_ids"] = sha(repr(rs.turbine_ids))
+
+
 def digests(src: Path) -> dict:
     sys.path.insert(0, str(src))
     import hsttn
@@ -191,6 +233,7 @@ def digests(src: Path) -> dict:
     model_digests(out)
     attend_digests(out)
     cli_digests(out)
+    loader_digests(out)
     return out
 
 

@@ -205,8 +205,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _restore(checkpoint_path, data_path, schema_path):
-    ckpt = ckpt_io.load_checkpoint(checkpoint_path)
+def _restore(ckpt, data_path, schema_path):
     rs = _load_and_prepare(data_path, schema_path)
     if ckpt.schema is not None and ckpt.schema.channels != rs.schema.channels:
         raise ConfigError(
@@ -223,12 +222,15 @@ def _restore(checkpoint_path, data_path, schema_path):
             f"on {ckpt.model_config.n_turbines}"
         )
     model = ckpt_io.model_from_checkpoint(ckpt)
-    return ckpt, apply_zscore(rs, ckpt.norm_stats), model
+    return apply_zscore(rs, ckpt.norm_stats), model
 
 
 def cmd_predict(args) -> int:
-    ckpt, normed, model = _restore(args.checkpoint, args.data, args.schema)
+    ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     cfg = ckpt.model_config
+    if args.origin < cfg.history_len:
+        raise ConfigError(f"--origin {args.origin} is below the history length {cfg.history_len}")
+    normed, model = _restore(ckpt, args.data, args.schema)
     target = normed.target_index
     window = window_at(normed, cfg.history_len, cfg.horizon_len, args.origin)
     pred = predict_window(model, window, ckpt.norm_stats, target)
@@ -251,7 +253,10 @@ def cmd_predict(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.stride < 1:
         raise ConfigError(f"--stride must be positive, got {args.stride}")
-    ckpt, normed, model = _restore(args.checkpoint, args.data, args.schema)
+    if not 0 <= args.start <= (args.start if args.end is None else args.end):
+        raise ConfigError(f"--start {args.start} must be at least 0 and at most --end")
+    ckpt = ckpt_io.load_checkpoint(args.checkpoint)
+    normed, model = _restore(ckpt, args.data, args.schema)
     h = ckpt.model_config.history_len
     f = ckpt.model_config.horizon_len
     windows = make_windows(normed, h, f, args.stride, args.start, args.end)
@@ -271,11 +276,11 @@ def cmd_evaluate(args) -> int:
 def _read_grid(path) -> dict[tuple[int, int], float]:
     grid: dict[tuple[int, int], float] = {}
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv_records(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 3:
+        records = csv_records(fh, path)
+        _, header = next(records, (1, []))
+        if len(header) < 3:
             raise IngestError(f"{path}: expected a (turbine, step, value) table")
-        for lineno, cells in enumerate(reader, start=2):
+        for lineno, cells in records:
             if not cells:
                 continue
             try:

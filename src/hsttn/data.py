@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import re
+from itertools import chain, islice
 from dataclasses import InitVar, dataclass, fields, replace
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
@@ -186,29 +187,53 @@ def _key_column(cells, codes: dict, parsed: list, parse):
 def _channel_column(cells, name: str):
     """One channel's floats, NaN where a cell is empty or missing; or None
     and (row, message) for the first cell that fails."""
+    if isinstance(cells, np.ndarray):  # floats numpy's C reader has read
+        return cells, None
     try:
         return np.fromiter(map(float, cells), np.float64, len(cells)), None
-    except (TypeError, ValueError):  # an empty, missing or bad cell: walk the column
-        out = np.empty(len(cells))
-        for row, raw in enumerate((text or "").strip() for text in cells):
-            try:
-                out[row] = float(raw) if raw else np.nan
-            except ValueError:
-                return None, (row, f"cannot parse numeric value {raw!r} for channel {name!r}")
-        return out, None
+    except (TypeError, ValueError):  # an empty, missing or bad cell: fill the empty ones
+        filled = [(text or "").strip() or "nan" for text in cells]
+        try:
+            return np.fromiter(map(float, filled), np.float64, len(filled)), None
+        except ValueError:  # a bad cell: walk the column to name it
+            for row, raw in enumerate(filled):
+                try:
+                    float(raw)
+                except ValueError:
+                    return None, (row, f"cannot parse numeric value {raw!r} for channel {name!r}")
 
 
-def csv_records(fh) -> Iterator[list[str]]:
-    """The records of a CSV file opened as UTF-8 text. Bytes that are not
-    UTF-8 and fields longer than the csv module's limit are `IngestError`s
-    naming the file, not decoder or parser exceptions."""
-    reader = csv.reader(fh)
+def _c_columns(block: list[str], text: str, dtype: np.dtype, scan: bool):
+    """Unquoted CSV lines `block`, joined in `text`, as columns numpy's C reader reads into
+    `dtype`; None where it refuses them or may differ from the csv walk (a NUL, a blank line,
+    a line over the csv field limit, a full key field), or with `scan` has two commas in a row
+    (an empty field, which it refuses, found before it tries)."""
+    if (scan and ",," in text or text.isspace() or "\0" in text
+            or max(map(len, block)) > csv.field_size_limit()):
+        return None
     try:
-        yield from reader
+        table = np.loadtxt(block, dtype, comments=None, delimiter=",", ndmin=1)
+    except ValueError:
+        return None
+    keys = [f for f in dtype.names if dtype[f].kind == "U"]  # it cuts a text longer than its field
+    if len(table) != len(block) or any(np.char.str_len(table[f]).max() * 4 == dtype[f].itemsize
+                                       for f in keys):
+        return None
+    return [table[f].tolist() if f in keys else table[f] for f in dtype.names]
+
+
+def csv_records(lines, name, line: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """Records of the CSV text `lines` of file `name`, the first being line `line`, each
+    with the line it starts on; bad UTF-8 and over-long fields are `IngestError`s."""
+    reader, done = csv.reader(lines), 0
+    try:
+        for cells in reader:
+            yield line + done, cells
+            done = reader.line_num
     except UnicodeDecodeError as exc:
-        raise IngestError(f"{fh.name}: not UTF-8 text ({exc.reason})") from None
+        raise IngestError(f"{name}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
-        raise IngestError(f"{fh.name}:{reader.line_num}: {exc}") from None
+        raise IngestError(f"{name}:{line + reader.line_num - 1}: {exc}") from None
 
 
 def load_records(path, schema: Schema) -> RecordSet:
@@ -220,65 +245,78 @@ def load_records(path, schema: Schema) -> RecordSet:
     header, duplicates and unparseable numbers are errors, and so is a grid
     of more than twice as many cells as there are data rows. An error names
     the earliest line at fault; within a line, the id, day and time first.
-    Each block of `_BLOCK_ROWS` rows is parsed a column at a time: each
-    distinct id, day and time text once, each channel in one `float` pass.
-    """
+    Each block of `_BLOCK_ROWS` lines is read by numpy's C reader, or by the csv
+    walk where that cannot read it exactly and from a quote on; each distinct
+    id, day and time text is parsed once."""
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv_records(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        expected = [schema.id_column, schema.day_column, schema.time_column,
-                    *schema.channels]
-        unknown = [h for h in header if h not in expected]
-        if unknown:
-            raise IngestError(f"{path}: unknown column(s) {unknown} not in schema")
-        missing = [h for h in expected if h not in header]
-        if missing:
-            raise IngestError(f"{path}: schema column(s) {missing} absent from header")
-        repeated = sorted({h for h in header if header.count(h) > 1})
-        if repeated:
-            raise IngestError(f"{path}: column(s) {repeated} repeated in header")
-        col = {name: header.index(name) for name in expected}
-        width = len(header)
-        keys = [(col[schema.id_column], _parse_key), (col[schema.day_column], _parse_key),
-                (col[schema.time_column], lambda t: _parse_time(t, schema.step_minutes))]
-        codes, parsed = ({}, {}, {}), ([], [], [])  # per key column: text -> index, values
-        blocks, readings, rows, lines = [], [], [], []
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            first = next(fh, None)
+            if first is None:
+                raise IngestError(f"{path}: file is empty")
+            records = csv_records(chain([first], fh), path)
+            header = [h.strip() for h in next(records)[1]]
+            expected = [schema.id_column, schema.day_column, schema.time_column, *schema.channels]
+            unknown = [h for h in header if h not in expected]
+            if unknown:
+                raise IngestError(f"{path}: unknown column(s) {unknown} not in schema")
+            missing = [h for h in expected if h not in header]
+            if missing:
+                raise IngestError(f"{path}: schema column(s) {missing} absent from header")
+            repeated = sorted({h for h in header if header.count(h) > 1})
+            if repeated:
+                raise IngestError(f"{path}: column(s) {repeated} repeated in header")
+            col = {name: header.index(name) for name in expected}
+            width = len(header)
+            keys = [(col[schema.id_column], _parse_key), (col[schema.day_column], _parse_key),
+                    (col[schema.time_column], lambda t: _parse_time(t, schema.step_minutes))]
+            codes, parsed = ({}, {}, {}), ([], [], [])  # per key column: text -> index, values
+            blocks, readings = [], []
+            dtype = np.dtype([(str(i), "U12" if i in dict(keys) else "f8") for i in range(width)])
 
-        def parse_block():
-            columns = list(zip(*rows))
-            results = [_key_column(columns[ci], codes[k], parsed[k], parse)
-                       for k, (ci, parse) in enumerate(keys)]
-            results += [_channel_column(columns[col[name]], name) for name in schema.channels]
-            if failures := [(f[0], k, f[1]) for k, (_, f) in enumerate(results) if f]:
-                row, _, message = min(failures)
-                raise IngestError(f"{path}:{lines[row]}: {message}")
-            blocks.append((np.stack([a for a, _ in results[:3]], axis=1), np.array(lines)))
-            readings.append(np.stack([a for a, _ in results[3:]], axis=1))
-            rows.clear()
-            lines.clear()
+            def parse_block(columns, lines):
+                results = [_key_column(columns[ci], codes[k], parsed[k], parse)
+                           for k, (ci, parse) in enumerate(keys)]
+                results += [_channel_column(columns[col[name]], name) for name in schema.channels]
+                if failures := [(f[0], k, f[1]) for k, (_, f) in enumerate(results) if f]:
+                    row, _, message = min(failures)
+                    raise IngestError(f"{path}:{lines[row]}: {message}")
+                blocks.append((np.stack([a for a, _ in results[:3]], axis=1), np.asarray(lines)))
+                readings.append(np.stack([a for a, _ in results[3:]], axis=1))
 
-        for lineno, cells in enumerate(reader, start=2):
-            if not any(map(str.strip, cells)):
-                continue
-            if len(cells) > width:
-                if rows:  # an earlier line's fault is named first
-                    parse_block()
-                raise IngestError(
-                    f"{path}:{lineno}: {len(cells)} cells but the header has {width} columns"
-                )
-            if len(cells) < width:
-                cells += [None] * (width - len(cells))
-            rows.append(cells)
-            lines.append(lineno)
-            if len(rows) == _BLOCK_ROWS:
-                parse_block()
-        if rows:
-            parse_block()
+            def walk(records):
+                rows, lines = [], []
+                for lineno, cells in records:
+                    if not any(map(str.strip, cells)):
+                        continue
+                    if len(cells) > width or len(rows) == _BLOCK_ROWS:
+                        if rows:  # an earlier line's fault is named first
+                            parse_block(list(zip(*rows)), lines)
+                        rows, lines = [], []
+                        if len(cells) > width:
+                            raise IngestError(f"{path}:{lineno}: {len(cells)} cells but the "
+                                              f"header has {width} columns")
+                    if len(cells) < width:
+                        cells += [None] * (width - len(cells))
+                    rows.append(cells)
+                    lines.append(lineno)
+                if rows:
+                    parse_block(list(zip(*rows)), lines)
+
+            line, quoted, scan = 2, '"' in first, False
+            while not quoted and (block := list(islice(fh, _BLOCK_ROWS))):
+                text = "".join(block)
+                if quoted := '"' in text:  # a quoted field can span lines: the walk reads the rest
+                    records = csv_records(chain(block, fh), path, line)
+                elif (columns := _c_columns(block, text, dtype, scan)) is not None:
+                    parse_block(columns, np.arange(line, line + len(block)))
+                else:  # from a refused block on, a file is scanned for empty fields first
+                    walk(csv_records(block, path, line))
+                    scan = True
+                line += len(block)
+            walk(records)  # the rest of the file after a quote; nothing without one
+    except UnicodeDecodeError as exc:  # csv_records words a decoding error it meets itself
+        raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     if not blocks:
         raise IngestError(f"{path}: no data rows")

@@ -419,6 +419,18 @@ class TestPredict:
                      "--schema", str(workspace / "synthetic.schema"),
                      "--origin", "0", "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("data", ["synthetic.csv", "missing.csv"])
+    def test_origin_below_history_is_refused_before_the_data_is_read(self, workspace, tmp_path,
+                                                                     capsys, data):
+        # a missing data file would otherwise end in exit 3
+        code = main(["predict", "--checkpoint", str(workspace / "run_out" / "checkpoint.bin"),
+                     "--data", str(workspace / data),
+                     "--schema", str(workspace / "synthetic.schema"),
+                     "--origin", "5", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--origin 5 is below the history length 6" in capsys.readouterr().err
+        assert not (tmp_path / "forecast.csv").exists()
+
 
 class TestCheckpointTarget:
     """A data schema must name the target the checkpoint was trained on:
@@ -502,6 +514,21 @@ class TestEvaluate:
                      "--stride", "0", "--out", str(tmp_path)])
         assert code == 2
         assert "--stride must be positive, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "report.kv").exists()
+
+    @pytest.mark.parametrize("data", ["synthetic.csv", "missing.csv"])
+    @pytest.mark.parametrize("bounds, message", [
+        (["--start", "-5"], "--start -5 must be at least 0 and at most --end"),
+        (["--start", "100", "--end", "50"], "--start 100 must be at least 0 and at most --end"),
+    ], ids=["negative-start", "end-before-start"])
+    def test_bounds_are_refused_before_the_data_is_read(self, workspace, tmp_path, capsys,
+                                                        data, bounds, message):
+        code = main(["evaluate", "--checkpoint", str(workspace / "run_out" / "checkpoint.bin"),
+                     "--data", str(workspace / data),
+                     "--schema", str(workspace / "synthetic.schema"),
+                     *bounds, "--out", str(tmp_path)])
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "report.kv").exists()
 
 

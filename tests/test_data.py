@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsttn.data
+
 from hsttn.data import (
     DEFAULT_CHANNELS,
     MINUTES_PER_DAY,
@@ -178,6 +180,24 @@ class TestLoadRecords:
         write_rows(path, HEADER, [[1, 1, "00:00", 5.0, 10.0, 100.0],
                                   [1, 1, "00:40", 5.0, 10.0, 100.0]])
         with pytest.raises(IngestError, match="span 5 slots"):
+            load_records(path, small_schema())
+
+    @pytest.mark.parametrize("line6, message", [
+        ("1,1,00:30,abc,10.0,100.0", r"q\.csv:6: cannot parse numeric value 'abc'"),
+        ("1,1,00:00,5.0,10.0,100.0", r"q\.csv:6: duplicate record for turbine 1"),
+        ("1,9,00:30,5.0,10.0,100.0", r"\(line 2\) and the latest \(line 6\) span"),
+    ], ids=["bad-cell", "duplicate", "span"])
+    @pytest.mark.parametrize("block", [2, 1024])
+    def test_lines_after_a_quoted_line_break_are_named(self, tmp_path, monkeypatch, block,
+                                                       line6, message):
+        # the quoted Wspd cell of the row on line 3 runs onto line 4, across
+        # the boundary of blocks of two lines
+        monkeypatch.setattr("hsttn.data._BLOCK_ROWS", block)
+        path = tmp_path / "q.csv"
+        path.write_text("\n".join([",".join(HEADER), "1,1,00:00,5.0,10.0,100.0",
+                                   '1,1,00:10,"5.0', '",10.0,100.0',
+                                   "1,1,00:20,5.0,10.0,100.0", line6]) + "\n")
+        with pytest.raises(IngestError, match=message):
             load_records(path, small_schema())
 
     def test_duplicate_record_rejected(self, tmp_path):
@@ -368,6 +388,141 @@ class TestBlockwiseLoad:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < 12_000_000 < peaks[1]
+
+
+def load_outcome(path, schema):
+    """The loaded values, validity and ids as bytes and a tuple, or the
+    `IngestError` message."""
+    try:
+        rs = load_records(path, schema)
+    except IngestError as exc:
+        return str(exc)
+    return rs.values.tobytes(), rs.validity.tobytes(), rs.turbine_ids
+
+
+def edit(lines, line, column, text):
+    """Change one cell of the file line numbered `line` to `text`, or to what
+    `text` makes of the cell if it is a function; return the lines."""
+    cells = lines[line - 1].split(",")
+    cells[column] = text(cells[column]) if callable(text) else text
+    lines[line - 1] = ",".join(cells)
+    return lines
+
+
+def each_id(lines, text):
+    """Every data line's id cell changed by `text`."""
+    for line in range(2, len(lines) + 1):
+        edit(lines, line, 0, text)
+    return lines
+
+
+# (id, file): each function changes the lines of a farm (lines[0] is the
+# header; block `b` holds lines 2 to b + 1) and joins them into the file
+TRICKY_FILES = [
+    ("clean", lambda lines, b: "\n".join(lines)),
+    ("quoted-comma", lambda lines, b: "\n".join(edit(lines, b + 2, 3, '"5,0"'))),
+    ("quoted-keys", lambda lines, b: "\n".join(
+        edit(edit(lines, b + 2, 0, '"{}"'.format), b + 2, 2, '"{}"'.format))),
+    # the quoted cell of the second block's last line runs onto the next line
+    ("quoted-line-break", lambda lines, b: "\n".join(edit(lines, 2 * b + 1, 4, '"{}\n"'.format))),
+    ("quoted-line-break-then-bad-cell", lambda lines, b: "\n".join(
+        edit(edit(lines, 2 * b + 1, 4, '"{}\n"'.format), 3 * b, 3, "abc"))),
+    ("columns-in-another-order", lambda lines, b: "\n".join(
+        ",".join(line.split(",")[i] for i in (3, 0, 5, 1, 4, 2)) for line in lines)),
+    ("crlf", lambda lines, b: "\r\n".join(lines)),
+    ("cr", lambda lines, b: "\r".join(lines)),
+    ("crlf-empty-last-cell", lambda lines, b: "\r\n".join(edit(lines, b + 3, 5, ""))),
+    ("hash-in-channel", lambda lines, b: "\n".join(edit(lines, b + 2, 4, "{}#0".format))),
+    ("hash-leading-line", lambda lines, b: "\n".join(edit(lines, b + 2, 0, "#{}".format))),
+    ("blank-lines", lambda lines, b: "\n".join(
+        lines[:3] + ["", "   ", ",,,,,", " , , "] + lines[3:b + 3] + [""] * (b + 1)
+        + lines[b + 3:])),
+    ("blank-line-then-bad-id", lambda lines, b: "\n".join(
+        lines[:b + 2] + [""] + edit(lines, b + 3, 0, "x")[b + 2:])),
+    ("empty-and-blank-cells", lambda lines, b: "\n".join(
+        edit(edit(lines, 3, 3, ""), b + 2, 5, "  "))),
+    ("empty-id", lambda lines, b: "\n".join(edit(lines, b + 2, 0, ""))),
+    ("short-rows", lambda lines, b: "\n".join(
+        lines[:b + 2] + [lines[b + 2].rsplit(",", 2)[0]] + lines[b + 3:])),
+    ("nul-ending-id", lambda lines, b: "\n".join(edit(lines, b + 2, 0, "{}\0".format))),
+    ("nul-in-channel", lambda lines, b: "\n".join(edit(lines, b + 2, 4, "5\0"))),
+    ("field-over-the-csv-limit", lambda lines, b: "\n".join(
+        edit(lines, b + 3, 3, "1" * (csv.field_size_limit() + 1)))),
+    # numpy keeps 12 characters of a key text and cuts the rest
+    ("ids-longer-than-the-key-field", lambda lines, b: "\n".join(
+        each_id(lines, lambda i: f"12345678901234{i}"))),
+    ("ids-filling-the-key-field", lambda lines, b: "\n".join(
+        each_id(lines, lambda i: f"1234567890{i}0"))),
+    ("ids-above-2-to-the-64", lambda lines, b: "\n".join(
+        each_id(lines, lambda i: str(2 ** 64 + int(i))))),
+    ("underscores", lambda lines, b: "\n".join(
+        edit(edit(lines, b + 2, 0, "1_0"), b + 3, 4, "1_0.5"))),
+    ("unicode-digits", lambda lines, b: "\n".join(
+        edit(edit(lines, b + 2, 0, lambda i: "٠١٢"[int(i)]), b + 3, 3,
+             "١٢.5"))),
+    ("spaces-around-cells", lambda lines, b: "\n".join(edit(edit(edit(
+        lines, b + 2, 0, " {} ".format), b + 2, 2, " {} ".format), b + 3, 3, "\xa0-0.0\t"))),
+    ("non-finite-text", lambda lines, b: "\n".join(edit(edit(edit(
+        lines, b + 2, 3, "-nan"), b + 3, 4, "-Infinity"), b + 4, 5, "1e999"))),
+    ("not-utf8-after-the-first-block", lambda lines, b: (
+        "\n".join(lines[:3 * b]).encode() + b"\n1,1,00:00,\xff\xfe,1.0,2.0\n"
+        + "\n".join(lines[3 * b:]).encode())),
+]
+
+
+class TestCReader:
+    """numpy's C reader reads a block only where it gives what the csv walk
+    gives: the same bits, validity and ids, or the same refusal."""
+
+    @staticmethod
+    def farm_lines(count):
+        """The header and `count` rows of two turbines with varied readings."""
+        rng = np.random.default_rng(count)
+        values = rng.normal(size=(count, 3)) * 10.0 ** rng.integers(-8, 8, size=(count, 3))
+        return [",".join(HEADER)] + [
+            f"{1 + i % 2},{1 + i // 288},{i // 2 % 144 // 6:02d}:{i // 2 % 6}0," + ",".join(
+                map(repr, row)) for i, row in enumerate(values.tolist())]
+
+    @pytest.mark.parametrize("block", [3, 1024])
+    @pytest.mark.parametrize("name, edit", TRICKY_FILES, ids=[name for name, _ in TRICKY_FILES])
+    def test_c_reader_matches_the_csv_walk(self, tmp_path, monkeypatch, block, name, edit):
+        monkeypatch.setattr("hsttn.data._BLOCK_ROWS", block)
+        content = edit(self.farm_lines(4 * block), block)
+        path = tmp_path / "farm.csv"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content + "\n", newline="")
+        fast = load_outcome(path, small_schema())
+        monkeypatch.setattr("hsttn.data._c_columns", lambda *args: None)
+        assert load_outcome(path, small_schema()) == fast
+
+    def test_empty_fields_are_found_before_the_c_reader_tries(self, tmp_path, monkeypatch):
+        # an empty cell in every block: after the first block the C reader
+        # refuses, the scan keeps it from trying the others
+        monkeypatch.setattr("hsttn.data._BLOCK_ROWS", 3)
+        lines = self.farm_lines(12)
+        for line in (3, 6, 9, 12):
+            edit(lines, line, 4, "")
+        path = tmp_path / "farm.csv"
+        path.write_text("\n".join(lines) + "\n")
+        tries = []
+        read = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: (tries.append(1), read(*args, **kw))[1])
+        loaded = load_records(path, small_schema())
+        assert len(tries) == 1 and np.isnan(loaded.values).sum() == 4
+
+    def test_clean_rows_never_reach_the_walk(self, tmp_path, monkeypatch):
+        rs = synth_generate(3, 1000, 3, seed=4)
+        path = tmp_path / "farm.csv"
+        write_csv(replace(rs, schema=small_schema()), path)
+        walked = []
+        parse = hsttn.data._channel_column
+        monkeypatch.setattr("hsttn.data._channel_column",
+                            lambda cells, name: (walked.append(type(cells)), parse(cells, name))[1])
+        loaded = load_records(path, small_schema())
+        assert loaded.values.tobytes() == rs.values.tobytes()
+        assert walked and set(walked) == {np.ndarray}
 
 
 class TestMarkInvalid:
