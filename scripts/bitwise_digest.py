@@ -189,9 +189,9 @@ def irregular_csv(path: Path) -> None:
     """Two turbines over 2,300 ten-minute slots and a third with an id above
     2**64 at two of them, in CRLF lines. Of the loader's blocks of 1,024
     lines, the first has empty and blank cells, a short row and blank and
-    comma-only lines, the second none of these, the third the id above 2**64,
-    the fourth a quoted cell whose line break runs into the fifth, which has
-    quoted ids and an empty cell."""
+    comma-only lines, the second only empty cells and a short row, the third
+    the id above 2**64, the fourth a quoted cell whose line break runs into
+    the fifth, which has quoted ids and an empty cell."""
     rng = np.random.default_rng(SEED)
     cells = []
     for t in range(2300):
@@ -202,6 +202,8 @@ def irregular_csv(path: Path) -> None:
     cells[50][4] = cells[4400][5] = ""
     cells[51][3] = "  "
     cells[60] = cells[60][:4]
+    cells[1500][5] = cells[1600][3] = ""
+    cells[1700] = cells[1700][:5]
     # line 4097, the fourth block's last, once the three blank lines are in
     cells[4092][4] = f'"{cells[4092][4]}\r\n"'
     for row in cells[4300:4302]:

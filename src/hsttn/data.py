@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import csv
 import re
-from itertools import chain, islice
 from dataclasses import InitVar, dataclass, fields, replace
+from functools import partial
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -191,35 +192,52 @@ def _channel_column(cells, name: str):
         return cells, None
     try:
         return np.fromiter(map(float, cells), np.float64, len(cells)), None
-    except (TypeError, ValueError):  # an empty, missing or bad cell: fill the empty ones
-        filled = [(text or "").strip() or "nan" for text in cells]
-        try:
-            return np.fromiter(map(float, filled), np.float64, len(filled)), None
-        except ValueError:  # a bad cell: walk the column to name it
-            for row, raw in enumerate(filled):
-                try:
-                    float(raw)
-                except ValueError:
-                    return None, (row, f"cannot parse numeric value {raw!r} for channel {name!r}")
+    except (TypeError, ValueError):  # an empty, missing or bad cell: walk the column
+        out = np.empty(len(cells))
+        for row, raw in enumerate((text or "").strip() for text in cells):
+            try:
+                out[row] = float(raw) if raw else np.nan
+            except ValueError:
+                return None, (row, f"cannot parse numeric value {raw!r} for channel {name!r}")
+        return out, None
 
 
-def _c_columns(block: list[str], text: str, dtype: np.dtype, scan: bool):
+def _filled(text: str, width: int) -> str:
+    """An unquoted CSV line with each empty or missing one of `width` fields written `nan`."""
+    body = text.rstrip("\r\n")
+    if ",," not in f",{body}," and body.count(",") >= width - 1:
+        return text
+    cells = body.split(",")
+    return ",".join([c or "nan" for c in cells] + ["nan"] * (width - len(cells))) + text[len(body):]
+
+
+def _c_columns(block: list[str], text: str, dtype: np.dtype):
     """Unquoted CSV lines `block`, joined in `text`, as columns numpy's C reader reads into
-    `dtype`; None where it refuses them or may differ from the csv walk (a NUL, a blank line,
-    a line over the csv field limit, a full key field), or with `scan` has two commas in a row
-    (an empty field, which it refuses, found before it tries)."""
-    if (scan and ",," in text or text.isspace() or "\0" in text
-            or max(map(len, block)) > csv.field_size_limit()):
+    `dtype`, with each empty or missing field read as nan where it refuses the lines as they
+    are; None where it still refuses them or may differ from the csv walk (a NUL, a blank
+    line, a line over the csv field limit, a full key field, an empty or missing key)."""
+    if text.isspace() or "\0" in text or max(map(len, block)) > csv.field_size_limit():
         return None
-    try:
-        table = np.loadtxt(block, dtype, comments=None, delimiter=",", ndmin=1)
-    except ValueError:
-        return None
+    read = partial(np.loadtxt, dtype=dtype, comments=None, delimiter=",", ndmin=1)
     keys = [f for f in dtype.names if dtype[f].kind == "U"]  # it cuts a text longer than its field
-    if len(table) != len(block) or any(np.char.str_len(table[f]).max() * 4 == dtype[f].itemsize
-                                       for f in keys):
+    try:
+        table, filled = read(block), False
+    except ValueError:  # it refuses an empty field: read the block again with those as nan
+        try:
+            table, filled = read([_filled(text, len(dtype)) for text in block]), True
+        except ValueError:
+            return None
+    if (len(table) != len(block)
+            or any(np.char.str_len(table[f]).max() * 4 == dtype[f].itemsize for f in keys)
+            or filled and any((table[f] == "nan").any() for f in keys)):
         return None
     return [table[f].tolist() if f in keys else table[f] for f in dtype.names]
+
+
+def _raising(exc: Exception):
+    """An iterator that raises `exc` when asked for its first item."""
+    raise exc
+    yield
 
 
 def csv_records(lines, name, line: int = 1) -> Iterator[tuple[int, list[str]]]:
@@ -286,36 +304,43 @@ def load_records(path, schema: Schema) -> RecordSet:
 
             def walk(records):
                 rows, lines = [], []
-                for lineno, cells in records:
-                    if not any(map(str.strip, cells)):
-                        continue
-                    if len(cells) > width or len(rows) == _BLOCK_ROWS:
-                        if rows:  # an earlier line's fault is named first
-                            parse_block(list(zip(*rows)), lines)
-                        rows, lines = [], []
+                try:
+                    for lineno, cells in records:
+                        if not any(map(str.strip, cells)):
+                            continue
                         if len(cells) > width:
                             raise IngestError(f"{path}:{lineno}: {len(cells)} cells but the "
                                               f"header has {width} columns")
-                    if len(cells) < width:
-                        cells += [None] * (width - len(cells))
-                    rows.append(cells)
-                    lines.append(lineno)
-                if rows:
-                    parse_block(list(zip(*rows)), lines)
+                        if len(rows) == _BLOCK_ROWS:
+                            parse_block(list(zip(*rows)), lines)
+                            rows, lines = [], []
+                        if len(cells) < width:
+                            cells += [None] * (width - len(cells))
+                        rows.append(cells)
+                        lines.append(lineno)
+                finally:  # the rows before a later line's refusal: the earliest fault is named
+                    if rows:
+                        parse_block(list(zip(*rows)), lines)
 
-            line, quoted, scan = 2, '"' in first, False
-            while not quoted and (block := list(islice(fh, _BLOCK_ROWS))):
+            line, quoted = 2, '"' in first
+            while not quoted:
+                block = []
+                try:
+                    block.extend(islice(fh, _BLOCK_ROWS))
+                except UnicodeDecodeError as exc:  # the lines decoded before it go first
+                    walk(csv_records(chain(block, _raising(exc)), path, line))
+                if not block:
+                    break
                 text = "".join(block)
                 if quoted := '"' in text:  # a quoted field can span lines: the walk reads the rest
                     records = csv_records(chain(block, fh), path, line)
-                elif (columns := _c_columns(block, text, dtype, scan)) is not None:
+                elif (columns := _c_columns(block, text, dtype)) is not None:
                     parse_block(columns, np.arange(line, line + len(block)))
-                else:  # from a refused block on, a file is scanned for empty fields first
+                else:
                     walk(csv_records(block, path, line))
-                    scan = True
                 line += len(block)
             walk(records)  # the rest of the file after a quote; nothing without one
-    except UnicodeDecodeError as exc:  # csv_records words a decoding error it meets itself
+    except UnicodeDecodeError as exc:  # in the header's line; csv_records words the others
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
     if not blocks:

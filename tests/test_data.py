@@ -274,6 +274,33 @@ class TestBlockwiseLoad:
         with pytest.raises(IngestError, match=message):
             self.load_with_faults(tmp_path, faults)
 
+    @pytest.mark.parametrize("quote", [False, True], ids=["unquoted", "after-a-quote"])
+    @pytest.mark.parametrize("line4, message", [
+        ("1,1,00:20,5.0,10.0,100.0,77", r"farm\.csv:4: 7 cells but the header has 6 columns"),
+        ("1,1,00:20,5.0,10.0,abc", r"farm\.csv:4: cannot parse numeric value 'abc'"),
+    ], ids=["wide-row", "bad-cell"])
+    def test_a_fault_before_bad_bytes_in_its_block_is_named(self, tmp_path, quote, line4,
+                                                            message):
+        # the bytes that are not UTF-8 sit about 16 KB further into the same
+        # block of 1,024 lines, beyond the text decoder's first chunk
+        lines = [",".join(HEADER)] + [",".join(map(str, row)) for row in farm_rows(600)]
+        lines[3] = line4
+        if quote:
+            lines[1] = lines[1].replace(",5.0,", ',"5.0",')
+        path = tmp_path / "farm.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode() + b"1,5,00:00,\xff,1.0,2.0\n")
+        with pytest.raises(IngestError, match=message):
+            load_records(path, small_schema())
+
+    def test_a_record_cut_by_bad_bytes_is_not_read(self, tmp_path):
+        # line 3 opens a quoted day that line 4 closes; line 4 runs over more
+        # than one chunk of the text decoder and ends in bytes that are not UTF-8
+        path = tmp_path / "farm.csv"
+        path.write_bytes(f'{",".join(HEADER)}\n1,1,00:00,5.0,10.0,100.0\n1,"\n'.encode()
+                         + b'1",00:10,5.0,10.0,' + b"9" * 20000 + b"\xff\n")
+        with pytest.raises(IngestError, match="not UTF-8 text"):
+            load_records(path, small_schema())
+
     @pytest.mark.parametrize("short", [[1, 1], [1]])
     def test_short_row_without_time_is_a_key_error(self, tmp_path, three_row_blocks, short):
         # an empty time cell is a bad time; a missing one is a missing key
@@ -442,8 +469,18 @@ TRICKY_FILES = [
     ("empty-and-blank-cells", lambda lines, b: "\n".join(
         edit(edit(lines, 3, 3, ""), b + 2, 5, "  "))),
     ("empty-id", lambda lines, b: "\n".join(edit(lines, b + 2, 0, ""))),
+    ("empty-time", lambda lines, b: "\n".join(edit(lines, b + 3, 2, ""))),
+    ("empty-cells-in-every-block", lambda lines, b: "\n".join(
+        edit(edit(edit(edit(lines, 3, 3, ""), b + 3, 5, ""), 2 * b + 2, 4, ""), 3 * b + 1, 3, ""))),
+    ("empty-cells-and-a-bad-cell", lambda lines, b: "\n".join(
+        edit(edit(lines, b + 2, 4, ""), b + 3, 5, "abc"))),
+    ("comma-only-line", lambda lines, b: "\n".join(lines[:b + 2] + [",,,,,"] + lines[b + 2:])),
     ("short-rows", lambda lines, b: "\n".join(
         lines[:b + 2] + [lines[b + 2].rsplit(",", 2)[0]] + lines[b + 3:])),
+    ("short-row-with-an-empty-cell", lambda lines, b: "\n".join(
+        lines[:b + 2] + [lines[b + 2].rsplit(",", 2)[0].replace(",", ",,", 1)] + lines[b + 3:])),
+    ("short-row-without-a-time", lambda lines, b: "\n".join(
+        lines[:b + 2] + [lines[b + 2].rsplit(",", 4)[0]] + lines[b + 3:])),
     ("nul-ending-id", lambda lines, b: "\n".join(edit(lines, b + 2, 0, "{}\0".format))),
     ("nul-in-channel", lambda lines, b: "\n".join(edit(lines, b + 2, 4, "5\0"))),
     ("field-over-the-csv-limit", lambda lines, b: "\n".join(
@@ -497,20 +534,22 @@ class TestCReader:
         monkeypatch.setattr("hsttn.data._c_columns", lambda *args: None)
         assert load_outcome(path, small_schema()) == fast
 
-    def test_empty_fields_are_found_before_the_c_reader_tries(self, tmp_path, monkeypatch):
-        # an empty cell in every block: after the first block the C reader
-        # refuses, the scan keeps it from trying the others
+    def test_empty_and_missing_cells_never_reach_the_walk(self, tmp_path, monkeypatch):
+        # an empty cell in three blocks and a short row in the fourth: numpy
+        # reads each again with those cells as nan
         monkeypatch.setattr("hsttn.data._BLOCK_ROWS", 3)
         lines = self.farm_lines(12)
-        for line in (3, 6, 9, 12):
-            edit(lines, line, 4, "")
+        for line, column in ((3, 4), (6, 3), (9, 5)):
+            edit(lines, line, column, "")
+        lines[11] = lines[11].rsplit(",", 1)[0]
         path = tmp_path / "farm.csv"
         path.write_text("\n".join(lines) + "\n")
-        tries = []
-        read = np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda *args, **kw: (tries.append(1), read(*args, **kw))[1])
+        walked = []
+        parse = hsttn.data._channel_column
+        monkeypatch.setattr("hsttn.data._channel_column",
+                            lambda cells, name: (walked.append(type(cells)), parse(cells, name))[1])
         loaded = load_records(path, small_schema())
-        assert len(tries) == 1 and np.isnan(loaded.values).sum() == 4
+        assert set(walked) == {np.ndarray} and np.isnan(loaded.values).sum() == 4
 
     def test_clean_rows_never_reach_the_walk(self, tmp_path, monkeypatch):
         rs = synth_generate(3, 1000, 3, seed=4)
