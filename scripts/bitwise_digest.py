@@ -13,6 +13,8 @@ artifact, then one overall digest:
   their last feature, hold duplicate rows and rows of signed zeros, so the
   full lexicographic key sort runs: its output, six gradients and
   probabilities;
+- the same for one call along each axis on (4, 6, 96, 8) sequences, which
+  `attend` splits into 8 chunks and shares among its threads;
 - a `synth` -> `train` -> `evaluate` -> `predict` flow through the CLI,
   with every file it writes;
 - one irregular record file loaded: quoted fields (one over a block
@@ -21,8 +23,11 @@ artifact, then one overall digest:
 
 With `--against PATH` the same set also runs on the `src/` of the tree at
 PATH, in a child process, and the names whose digests differ are listed
-(exit 1 if any differ, else 0). The bits depend on the BLAS build and the
-machine, so compare two trees on one machine; there are no stored digests.
+(exit 1 if any differ, else 0). The bits depend on the BLAS build, its
+thread count and the machine, so compare two trees on one machine; there
+are no stored digests. The CLI pins OpenBLAS to one thread, so in a tree
+whose CLI does, the cases after the CLI flow run at one thread and those
+before it at the count the environment gives (OPENBLAS_NUM_THREADS).
 
     python3 scripts/bitwise_digest.py                    # this tree's digests
     python3 scripts/bitwise_digest.py --against ../other # what differs
@@ -139,13 +144,22 @@ def tied_keys(rng) -> np.ndarray:
 
 
 def attend_digests(out: dict) -> None:
-    from hsttn import GradTape, Tensor, backward
-    from hsttn.autodiff import attend, mul, sum_all
-
     rng = np.random.default_rng(SEED)
     keys = tied_keys(rng)
     query, proj = rng.normal(size=(3, 4, 5, 8)), rng.normal(size=(3, 4, 5, 6))
     weights = [rng.normal(size=shape) for shape in ((8, 6), (8, 6), (8, 4), (4, 6))]
+    attend_case(out, "attend", query, keys, proj, weights)
+    # 24 sequences of 2 x 96 x 96 scores, three to a chunk of 2**16 scores
+    query, keys = rng.normal(size=(4, 6, 96, 8)), rng.normal(size=(4, 6, 96, 8))
+    attend_case(out, "attend/chunks", query, keys, rng.normal(size=(4, 6, 96, 6)), weights)
+
+
+def attend_case(out: dict, prefix: str, query, keys, proj, weights) -> None:
+    """Digests of `attend` along axis -2 and -3 on inputs given in sequence
+    layout: its output, six gradients and probabilities."""
+    from hsttn import GradTape, Tensor, backward
+    from hsttn.autodiff import attend, mul, sum_all
+
     for axis in (-2, -3):
         q, k = (Tensor(np.swapaxes(a, axis, -2), requires_grad=True) for a in (query, keys))
         ws = [Tensor(w, requires_grad=True) for w in weights]
@@ -156,7 +170,7 @@ def attend_digests(out: dict) -> None:
         backward(loss, tape)
         for name, a in zip(("out", "query", "keys", "wq", "wk", "wv", "wo", "probs"),
                            (y.data, q.grad, k.grad, *(w.grad for w in ws), probs[0])):
-            out[f"attend/axis{axis}/{name}"] = sha(a)
+            out[f"{prefix}/axis{axis}/{name}"] = sha(a)
 
 
 def cli_digests(out: dict) -> None:

@@ -19,7 +19,9 @@ only for the acceptance gate's gradient checks.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -238,8 +240,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul batch dimensions disagree: {a.shape} x {b.shape}")
 
     def rule(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+        ga = np.matmul(g, b.data.swapaxes(-1, -2))
+        gb = np.matmul(a.data.swapaxes(-1, -2), g)
         return ga, gb
 
     return _op(np.matmul(a.data, b.data), (a, b), rule)
@@ -265,8 +267,8 @@ def mix(weights: Tensor, values: Tensor) -> Tensor:
     products.sort(axis=-2)
 
     def rule(g):
-        gw = np.matmul(g, np.swapaxes(values.data, -1, -2))
-        gv = np.matmul(np.swapaxes(weights.data, -1, -2), g)
+        gw = np.matmul(g, values.data.swapaxes(-1, -2))
+        gv = np.matmul(weights.data.swapaxes(-1, -2), g)
         return gw, gv
 
     return _op(products.sum(axis=-2), (weights, values), rule)
@@ -304,6 +306,39 @@ def _chunks(n_seqs: int, scores_per_seq: int) -> list[slice]:
     return [slice(s, s + step) for s in range(0, n_seqs, step)]
 
 
+# threads that run `attend`'s chunks: the calling one and `_WORKERS - 1` of `_pool`
+_WORKERS = 2
+_pool = None  # a ThreadPoolExecutor from the first call of more than one chunk
+# a forked child has none of its parent's pooled threads: it makes its own pool
+os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+
+
+def _run_chunks(fn: Callable[[slice], None], chunks: list[slice]) -> None:
+    """`fn(ix)` for every chunk, on up to `_WORKERS` threads: the caller runs
+    the first share of the chunks and the pool the rest, each chunk in a
+    copy of the caller's context, which holds numpy's `errstate`. Every
+    chunk writes only its own slices, so the results are the serial loop's
+    bitwise; the first error in chunk order is raised once all have ended."""
+    global _pool
+    if _WORKERS < 2 or len(chunks) < 2:
+        for ix in chunks:
+            fn(ix)
+        return
+    # imported on first use: with the logging it brings, about 10 ms of every start
+    from concurrent.futures import ThreadPoolExecutor, wait
+    if _pool is None:
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="hsttn-attend")
+    head = -(-len(chunks) // _WORKERS)
+    futures = [_pool.submit(contextvars.copy_context().run, fn, ix) for ix in chunks[head:]]
+    try:
+        for ix in chunks[:head]:
+            fn(ix)
+    finally:
+        wait(futures)  # no pooled thread still writes into the caller's arrays
+    for future in futures:
+        future.result()
+
+
 def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor,
            n_heads: int, axis: int = -2, probs: list | None = None) -> Tensor:
     """Multi-head scaled dot-product attention with its output projection
@@ -320,7 +355,8 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     / sqrt(dk), k = rows @ wk and v = rows @ wv, and views each as
     (sequences, heads, L, width): the other leading axes become one axis
     of independent sequences. It then runs a slice of a few whole
-    sequences at a time (`_chunks`), turning each chunk's scores q @ k^T
+    sequences at a time (`_chunks`, shared among threads by `_run_chunks`),
+    turning each chunk's scores q @ k^T
     into probabilities in place, so one chunk of (heads, Lq, Lk) scores
     exists at a time and stays in cache. The op keeps its inputs, the key
     order, the heads' contexts and each score row's max and normaliser; its
@@ -330,7 +366,7 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     """
     nd = query.ndim
     fits = nd >= 2 and keys.ndim == nd and axis != -1 and axis in range(-nd, nd - 1)
-    x_query, x_keys = (np.swapaxes(t.data, axis, -2) if fits else t.data for t in (query, keys))
+    x_query, x_keys = (t.data.swapaxes(axis, -2) if fits else t.data for t in (query, keys))
     lead = x_query.shape[:-2]
     if not fits or x_keys.shape[:-2] != lead:
         raise ShapeError(f"attention along axis {axis} needs (..., L, d) inputs with the same "
@@ -348,10 +384,10 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     def split_heads(a: np.ndarray) -> np.ndarray:
         """(..., L, heads * width) -> (sequences, heads, L, width), a view
         of the C-contiguous `a`."""
-        return np.swapaxes(a.reshape(-1, a.shape[-2], n_heads, a.shape[-1] // n_heads), 1, 2)
+        return a.reshape(-1, a.shape[-2], n_heads, a.shape[-1] // n_heads).swapaxes(1, 2)
 
     def merge_heads(a: np.ndarray) -> np.ndarray:
-        return np.swapaxes(a, -3, -2).reshape(lead + (-1, n_heads * a.shape[-1]))
+        return a.swapaxes(-3, -2).reshape(lead + (-1, n_heads * a.shape[-1]))
 
     def project():
         """The gathered rows and the q, k and v heads, the same bits each call."""
@@ -371,14 +407,17 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
         seq_probs = np.empty(q.shape[:-1] + k.shape[2:3])
         probs.append(seq_probs.reshape(lead + seq_probs.shape[1:]))
         seq_order = order.reshape(-1, 1, 1, k.shape[2])
-    for ix in chunks:
-        p = np.matmul(q[ix], np.swapaxes(k[ix], -1, -2))
+
+    def forward_chunk(ix):
+        p = np.matmul(q[ix], k[ix].swapaxes(-1, -2))
         peak[ix], norm[ix] = _softmax_in_place(p)
         if probs is not None:
             # column j belongs to key order[j]: scatter it back to that column
             np.put_along_axis(seq_probs[ix], seq_order[ix], p, axis=-1)
         ctx[ix] = np.matmul(p, v[ix])
         del p  # before the next chunk's scores, which can then reuse its memory
+
+    _run_chunks(forward_chunk, chunks)
     ctx = merge_heads(ctx)
     # self-attention along a swapped axis gives its input one gradient, the
     # query's plus the keys', the sum order that checkpoints were trained in
@@ -389,7 +428,7 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
         # the rows' gradient adds the v path before the k path: another
         # layout or order changes the last bits of every trained checkpoint.
         nonlocal ctx
-        g = np.swapaxes(g, axis, -2)
+        g = g.swapaxes(axis, -2)
         g_ctx = np.matmul(g, wo.data.T)
         g_wo = _weight_grad(ctx, g)
         del g, ctx  # each the size of the output, freed before the attention products
@@ -397,15 +436,18 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
         g_ctx = split_heads(g_ctx)
         # laid out as the whole products were; g_k as the transpose of q^T @ g_p
         g_q, g_v = np.empty(q.shape), np.empty(v.shape)
-        g_k = np.swapaxes(np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2])), -1, -2)
-        for ix in chunks:
-            p = np.matmul(q[ix], np.swapaxes(k[ix], -1, -2))
+        g_k = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2])).swapaxes(-1, -2)
+
+        def backward_chunk(ix):
+            p = np.matmul(q[ix], k[ix].swapaxes(-1, -2))
             _softmax_in_place(p, (peak[ix], norm[ix]))
-            g_v[ix] = np.matmul(np.swapaxes(p, -1, -2), g_ctx[ix])
-            g_p = _softmax_grad_in_place(np.matmul(g_ctx[ix], np.swapaxes(v[ix], -1, -2)), p)
+            g_v[ix] = np.matmul(p.swapaxes(-1, -2), g_ctx[ix])
+            g_p = _softmax_grad_in_place(np.matmul(g_ctx[ix], v[ix].swapaxes(-1, -2)), p)
             g_q[ix] = np.matmul(g_p, k[ix])
-            g_k[ix] = np.swapaxes(np.matmul(np.swapaxes(q[ix], -1, -2), g_p), -1, -2)
+            g_k[ix] = np.matmul(q[ix].swapaxes(-1, -2), g_p).swapaxes(-1, -2)
             del p, g_p
+
+        _run_chunks(backward_chunk, chunks)
         del q, k, v  # before the input gradients: about a quarter off a paper-scale peak
         g_v, g_k = merge_heads(g_v), merge_heads(g_k)
         g_rows = np.matmul(g_v, wv.data.T)
@@ -420,10 +462,10 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
         if merged:
             g_query, g_keys = g_query + g_keys, None
         else:
-            g_keys = np.swapaxes(g_keys, axis, -2)
-        return np.swapaxes(g_query, axis, -2), g_keys, g_wq, g_wk, g_wv, g_wo
+            g_keys = g_keys.swapaxes(axis, -2)
+        return g_query.swapaxes(axis, -2), g_keys, g_wq, g_wk, g_wv, g_wo
 
-    return _op(np.swapaxes(np.matmul(ctx, wo.data), axis, -2),
+    return _op(np.matmul(ctx, wo.data).swapaxes(axis, -2),
                (query, keys, wq, wk, wv, wo), rule)
 
 

@@ -1,4 +1,7 @@
 import math
+import multiprocessing
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -275,6 +278,83 @@ class TestAttend:
             assert len(autodiff._chunks(math.prod(lead), per_seq)) > 1
             for got, want in zip(chunked, whole):
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("axis", [-2, -3])
+    def test_worker_count_changes_no_bit(self, monkeypatch, axis):
+        # 10 sequences in chunks of 4, 4 and 2: the caller runs the first two
+        # chunks and a pooled thread the short last one, in the forward and
+        # in the backward, and every result is the serial loop's bitwise
+        rng = np.random.default_rng(21)
+        n_heads, lq, lk = 2, 3, 4
+        weights = attention_weights(rng, 4, 6, 4, d_out=3)
+        query, keys = rng.normal(size=(2, 5, lq, 4)), rng.normal(size=(2, 5, lk, 4))
+        proj = rng.normal(size=(2, 5, lq, 3))
+        query, keys, proj = (np.swapaxes(a, axis, -2) for a in (query, keys, proj))
+        monkeypatch.setattr(autodiff, "_CHUNK_SCORES", 4 * n_heads * lq * lk)
+        assert [len(range(10)[ix]) for ix in autodiff._chunks(10, n_heads * lq * lk)] == [4, 4, 2]
+        softmax, threads = autodiff._softmax_in_place, []
+
+        def counted_softmax(*args):
+            threads.append(threading.current_thread() is threading.main_thread())
+            return softmax(*args)
+
+        monkeypatch.setattr(autodiff, "_softmax_in_place", counted_softmax)
+
+        def run(workers):
+            monkeypatch.setattr(autodiff, "_WORKERS", workers)
+            threads.clear()
+            ws = [leaf(w.data) for w in weights]
+            q, k = leaf(query), leaf(keys)
+            probs = []
+            with GradTape() as tape:
+                out = attend(q, k, *ws, n_heads, axis=axis, probs=probs)
+                loss = sum_all(mul(out, Tensor(proj)))
+            backward(loss, tape)
+            return [out.data, q.grad, k.grad, *(w.grad for w in ws), probs[0]]
+
+        serial = run(1)
+        assert threads == [True] * 6
+        pooled = run(2)
+        # chunk by chunk in each loop: caller, caller, pooled thread
+        assert sorted(threads) == [False] * 2 + [True] * 4
+        for got, want in zip(pooled, serial):
+            assert np.array_equal(got, want)
+
+    def test_errstate_reaches_the_pooled_chunks(self, monkeypatch):
+        # the only scores that overflow are in the last of three chunks, which
+        # a pooled thread runs; inf - inf in its softmax raises there as it
+        # does in the serial loop
+        rng = np.random.default_rng(22)
+        weights = attention_weights(rng, 4, 4, 4)
+        x = rng.normal(size=(5, 6, 4))
+        monkeypatch.setattr(autodiff, "_CHUNK_SCORES", 2 * 2 * 6 * 6)
+        assert len(autodiff._chunks(5, 2 * 6 * 6)) == 3
+        with np.errstate(over="ignore", invalid="raise"):
+            assert np.isfinite(attend(Tensor(x), Tensor(x), *weights, 2).data).all()
+            x[4] *= 1e160
+            for workers in (1, 2):
+                monkeypatch.setattr(autodiff, "_WORKERS", workers)
+                with pytest.raises(FloatingPointError):
+                    attend(Tensor(x), Tensor(x), *weights, 2)
+
+    def test_a_forked_child_runs_pooled_chunks(self, monkeypatch):
+        # the child of a fork has none of its parent's pooled threads; a
+        # chunk handed to the parent's pool there would never run
+        monkeypatch.setattr(autodiff, "_CHUNK_SCORES", 1)
+        weights = attention_weights(np.random.default_rng(23), 4, 4, 4)
+        x = Tensor(np.random.default_rng(24).normal(size=(3, 5, 4)))
+        want = attend(x, x, *weights, 2).data
+        assert autodiff._pool is not None
+
+        def child():
+            os._exit(0 if np.array_equal(attend(x, x, *weights, 2).data, want) else 1)
+
+        process = multiprocessing.get_context("fork").Process(target=child)
+        process.start()
+        process.join(60)
+        if process.is_alive():
+            process.kill()
+        assert process.exitcode == 0
 
     def test_one_score_array_per_call(self):
         # the probabilities overwrite the scores: 8 heads x 64 x 64 is 256 KiB

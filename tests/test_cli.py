@@ -1,8 +1,12 @@
 import contextlib
 import csv
 import io
+import os
 import struct
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -10,6 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsttn
+from hsttn import autodiff
 from hsttn.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from hsttn.cli import RunConfig, main
 from hsttn.container import read_container, write_container
@@ -910,3 +916,36 @@ class TestLogging:
     def test_bad_verbosity_is_usage_error(self, monkeypatch, tmp_path):
         monkeypatch.setenv("HSTTN_LOG", "shout")
         assert main(["synth", "--out", str(tmp_path), "--timestamps", "10"]) == 2
+
+
+class TestThreads:
+    def test_blas_thread_count_changes_no_bit(self):
+        # OpenBLAS at one and at two threads gives this weight-gradient-shaped
+        # product different bits, unless the CLI's pin has run first
+        code = ("import hashlib, numpy as np\n"
+                "from hsttn.cli import _pin_blas_threads\n"
+                "_pin_blas_threads()\n"
+                "rng = np.random.default_rng(5)\n"
+                "a, b = rng.normal(size=(32, 3216)), rng.normal(size=(3216, 16))\n"
+                "print(hashlib.sha256(a @ b).hexdigest())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(hsttn.__file__).parent.parent)}
+            digests.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True, timeout=120).stdout)
+        assert len(digests) == 1
+
+    def test_attention_workers_change_no_checkpoint_bit(self, workspace, tmp_path, monkeypatch):
+        # one sequence per chunk, so every attention call runs several chunks,
+        # some of them on the pooled thread
+        monkeypatch.setattr(autodiff, "_CHUNK_SCORES", 1)
+        chunks, counts = autodiff._chunks, []
+        monkeypatch.setattr(autodiff, "_chunks", lambda *a: counts.append(chunks(*a)) or counts[-1])
+        for workers in (1, 2):
+            monkeypatch.setattr(autodiff, "_WORKERS", workers)
+            assert main(["train", "--config", str(workspace / "run.cfg"),
+                         "--out", str(tmp_path / str(workers))]) == 0
+        assert min(len(c) for c in counts) > 1
+        assert (tmp_path / "1" / "checkpoint.bin").read_bytes() == \
+            (tmp_path / "2" / "checkpoint.bin").read_bytes()
