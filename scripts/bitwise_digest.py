@@ -23,11 +23,10 @@ artifact, then one overall digest:
 
 With `--against PATH` the same set also runs on the `src/` of the tree at
 PATH, in a child process, and the names whose digests differ are listed
-(exit 1 if any differ, else 0). The bits depend on the BLAS build, its
-thread count and the machine, so compare two trees on one machine; there
-are no stored digests. The CLI pins OpenBLAS to one thread, so in a tree
-whose CLI does, the cases after the CLI flow run at one thread and those
-before it at the count the environment gives (OPENBLAS_NUM_THREADS).
+(exit 1 if any differ, else 0). The bits depend on the BLAS build and
+the machine, so compare two trees on one machine; there are no stored
+digests. Importing `hsttn` sets numpy's OpenBLAS to one thread, so every
+case runs at one BLAS thread.
 
     python3 scripts/bitwise_digest.py                    # this tree's digests
     python3 scripts/bitwise_digest.py --against ../other # what differs

@@ -14,15 +14,18 @@ Sums run in the order their operands are stored. Turbine-permutation
 equivariance holds bitwise because `attend` puts every attended sequence
 into a canonical row order before it reduces over that sequence. `mix`
 and `softmax_rows`, which instead accumulate in sorted order, are kept
-only for the acceptance gate's gradient checks.
+only for the acceptance gate's gradient checks. Importing the module sets
+numpy's OpenBLAS to one thread for the whole process (see `_WORKERS`).
 """
 
 from __future__ import annotations
 
 import contextvars
+import ctypes
 import math
 import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -311,6 +314,15 @@ _WORKERS = 2
 _pool = None  # a ThreadPoolExecutor from the first call of more than one chunk
 # a forked child has none of its parent's pooled threads: it makes its own pool
 os.register_at_fork(after_in_child=lambda: globals().update(_pool=None))
+# once per process, the OpenBLAS that numpy's wheel ships runs on one thread: the
+# bits of some products, such as a (32, 3216) @ (3216, 16) weight gradient,
+# depend on its thread count, which defaults to the core count, and more than
+# one would compete with `_pool`'s. Any other BLAS build is left as it is.
+for _lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
+    try:
+        ctypes.CDLL(str(_lib)).scipy_openblas_set_num_threads64_(1)
+    except (OSError, AttributeError):
+        pass
 
 
 def _run_chunks(fn: Callable[[slice], None], chunks: list[slice]) -> None:

@@ -3,16 +3,13 @@
 Exit codes: 0 success, 2 usage/configuration problems (a configuration
 too large for memory included), 3 file/parse problems, 4 numerical
 failures. Log verbosity comes from the HSTTN_LOG environment variable
-(debug, info, warning, quiet). `main` pins numpy's OpenBLAS to one thread,
-so that results do not depend on the core count.
+(debug, info, warning, quiet).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import ctypes
-import functools
 import logging
 import math
 import os
@@ -67,20 +64,6 @@ def _setup_logging() -> None:
     if level_name not in levels:
         raise ConfigError(f"HSTTN_LOG must be one of {sorted(levels)}, got {level_name!r}")
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
-
-
-@functools.cache
-def _pin_blas_threads() -> None:
-    """Set the OpenBLAS that numpy's wheel ships to one thread, once per
-    process. The bits of some products, such as a (32, 3216) @ (3216, 16)
-    weight gradient, depend on its thread count, which defaults to the core
-    count; more than one would also compete with `attend`'s own threads.
-    Any other BLAS build is left as it is."""
-    for lib in (Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"):
-        try:
-            ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_(1)
-        except (OSError, AttributeError):
-            pass
 
 
 # ModelConfig fields the dataset or the head count decides
@@ -430,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         _setup_logging()
-        _pin_blas_threads()
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse's --help (0) or usage error (2)

@@ -1,8 +1,11 @@
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -801,6 +804,25 @@ class TestDeterminism:
         root = RngStream(7)
         assert not np.array_equal(root.child(0).normal((10,)), root.child(1).normal((10,)))
         assert np.array_equal(root.child(3).normal((10,)), RngStream(7).child(3).normal((10,)))
+
+    def test_blas_thread_count_changes_no_bit(self):
+        # OpenBLAS at one and at two threads gives this weight-gradient-shaped
+        # product different bits, unless importing hsttn has pinned it to one;
+        # a library caller gets the pin without the CLI
+        code = ("import hashlib, sys\n"
+                "import numpy as np\n"
+                "import hsttn\n"
+                "assert 'hsttn.cli' not in sys.modules\n"
+                "rng = np.random.default_rng(5)\n"
+                "a, b = rng.normal(size=(32, 3216)), rng.normal(size=(3216, 16))\n"
+                "print(hashlib.sha256(a @ b).hexdigest())\n")
+        digests = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(autodiff.__file__).parent.parent)}
+            digests.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                       capture_output=True, text=True, timeout=120).stdout)
+        assert len(digests) == 1
 
 
 # each op applied to its tensor arguments, and the shapes of those arguments;

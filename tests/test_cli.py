@@ -1,12 +1,8 @@
 import contextlib
 import csv
 import io
-import os
 import struct
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -14,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hsttn
 from hsttn import autodiff
 from hsttn.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from hsttn.cli import RunConfig, main
@@ -919,23 +914,6 @@ class TestLogging:
 
 
 class TestThreads:
-    def test_blas_thread_count_changes_no_bit(self):
-        # OpenBLAS at one and at two threads gives this weight-gradient-shaped
-        # product different bits, unless the CLI's pin has run first
-        code = ("import hashlib, numpy as np\n"
-                "from hsttn.cli import _pin_blas_threads\n"
-                "_pin_blas_threads()\n"
-                "rng = np.random.default_rng(5)\n"
-                "a, b = rng.normal(size=(32, 3216)), rng.normal(size=(3216, 16))\n"
-                "print(hashlib.sha256(a @ b).hexdigest())\n")
-        digests = set()
-        for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": str(Path(hsttn.__file__).parent.parent)}
-            digests.add(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                       capture_output=True, text=True, timeout=120).stdout)
-        assert len(digests) == 1
-
     def test_attention_workers_change_no_checkpoint_bit(self, workspace, tmp_path, monkeypatch):
         # one sequence per chunk, so every attention call runs several chunks,
         # some of them on the pooled thread
