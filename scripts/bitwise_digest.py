@@ -20,6 +20,10 @@ artifact, then one overall digest:
 - one irregular record file loaded: quoted fields (one over a block
   boundary), CRLF line ends, empty and blank cells, short rows, blank and
   comma-only lines and ids above 2**64; its values, validity and ids.
+- one record file written by `write_csv`: two turbines over 1,100
+  timestamps, so a block boundary falls inside each, with `nan`, `inf`,
+  `-inf` and `-0.0` on valid and invalid rows, an id above 2**64 and
+  channel names that the header quotes; its bytes.
 
 With `--against PATH` the same set also runs on the `src/` of the tree at
 PATH, in a child process, and the names whose digests differ are listed
@@ -239,6 +243,27 @@ def loader_digests(out: dict) -> None:
     out["loader/turbine_ids"] = sha(repr(rs.turbine_ids))
 
 
+def writer_digests(out: dict) -> None:
+    from dataclasses import replace
+
+    from hsttn.data import Schema, synth_generate, write_csv
+
+    rs = synth_generate(2, 1100, 4, seed=SEED)
+    rng = np.random.default_rng(SEED)
+    values, validity = rs.values.copy(), rs.validity.copy()
+    special = rng.random(values.shape) < 0.02
+    values[special] = rng.choice([np.nan, np.inf, -np.inf, -0.0], size=special.sum())
+    validity[rng.random(validity.shape) < 0.1] = False
+    schema = Schema(channels=("Wspd", 'Wdir "deg"', "Etmp, C", "Patv"), wind_direction=None,
+                    nacelle_direction=None)
+    rs = replace(rs, schema=schema, values=values, validity=validity,
+                 turbine_ids=(3, 2 ** 64 + 5))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "written.csv"
+        write_csv(rs, path)
+        out["writer/written.csv"] = sha(path.read_bytes())
+
+
 def digests(src: Path) -> dict:
     sys.path.insert(0, str(src))
     import hsttn
@@ -249,6 +274,7 @@ def digests(src: Path) -> dict:
     attend_digests(out)
     cli_digests(out)
     loader_digests(out)
+    writer_digests(out)
     return out
 
 

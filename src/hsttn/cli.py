@@ -238,13 +238,13 @@ def cmd_predict(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_table(out / "forecast.csv", ["turbine", "step", "predicted_power"],
-                 ([n, k, repr(float(v))] for (n, k), v in np.ndenumerate(pred)))
+                 ([n, k, repr(v)] for n, p in enumerate(pred.tolist()) for k, v in enumerate(p)))
     wrote_truth = window.future_validity.shape[1] == cfg.horizon_len
     if wrote_truth:
-        truth = ckpt.norm_stats.invert(window.future_target[:, :, 0], target)
+        truth = ckpt.norm_stats.invert(window.future_target[:, :, 0], target).tolist()
         _write_table(out / "truth.csv", ["turbine", "step", "actual_power", "valid"],
-                     ([n, k, repr(float(v)), int(window.future_validity[n, k])]
-                      for (n, k), v in np.ndenumerate(truth)))
+                     ([n, k, repr(v), int(ok)] for n, p in enumerate(truth)
+                      for k, (v, ok) in enumerate(zip(p, window.future_validity[n].tolist()))))
     print(f"forecast for {pred.shape[0]} turbines x {pred.shape[1]} steps "
           f"-> {out / 'forecast.csv'}" + (" (+ truth.csv)" if wrote_truth else ""))
     return EXIT_OK

@@ -605,20 +605,22 @@ def _synth_schema(n_channels: int) -> Schema:
 
 def write_csv(rs: RecordSet, path) -> None:
     """Write the grid back out in the loader's format, a turbine's
-    `_BLOCK_ROWS` timestamps at a time. Floats use repr, so a load/write
-    round trip is lossless and byte-deterministic; a valid row writes nan
-    and inf as text, and an invalid row leaves its non-finite cells empty."""
+    `_BLOCK_ROWS` timestamps as one string and one write. Floats use repr, so
+    a load/write round trip is lossless and byte-deterministic; a valid row
+    writes nan and inf as text, an invalid row leaves its non-finite cells
+    empty. Only the header can need `csv`'s quoting; every line ends in its CRLF."""
     schema = rs.schema
     spd = schema.slots_per_day
     stamps = ["%02d:%02d" % divmod(m, 60) for m in range(0, MINUTES_PER_DAY, schema.step_minutes)]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([schema.id_column, schema.day_column, schema.time_column,
-                         *schema.channels])
+        csv.writer(fh).writerow([schema.id_column, schema.day_column, schema.time_column,
+                                 *schema.channels])
         for ni, tid in enumerate(map(str, rs.turbine_ids)):
             for start in range(0, rs.n_timestamps, _BLOCK_ROWS):
                 block = rs.values[ni, start:start + _BLOCK_ROWS].astype(np.float64)
-                cells = np.array([*map(repr, block.ravel().tolist())], object).reshape(block.shape)
-                cells[~np.isfinite(block) & ~rs.validity[ni, start:start + _BLOCK_ROWS, None]] = ""
-                writer.writerows([tid, str(1 + t // spd), stamps[t % spd], *row]
-                                 for t, row in enumerate(cells.tolist(), start))
+                cells = [[*map(repr, row)] for row in block.tolist()]
+                blank = ~np.isfinite(block) & ~rs.validity[ni, start:start + _BLOCK_ROWS, None]
+                for i, c in zip(*np.nonzero(blank)):
+                    cells[i][c] = ""
+                fh.write("".join(f"{tid},{1 + t // spd},{stamps[t % spd]},{','.join(row)}\r\n"
+                                 for t, row in enumerate(cells, start)))
