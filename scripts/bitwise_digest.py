@@ -19,7 +19,9 @@ artifact, then one overall digest:
   with every file it writes;
 - one irregular record file loaded: quoted fields (one over a block
   boundary), CRLF line ends, empty and blank cells, short rows, blank and
-  comma-only lines and ids above 2**64; its values, validity and ids.
+  comma-only lines and ids above 2**64; its values, validity and ids;
+  then the same file loaded again, which reads the grid cache the first
+  load left beside it.
 - one record file written by `write_csv`: two turbines over 1,100
   timestamps, so a block boundary falls inside each, with `nan`, `inf`,
   `-inf` and `-0.0` on valid and invalid rows, an id above 2**64 and
@@ -198,7 +200,9 @@ def cli_digests(out: dict) -> None:
                 code = main(argv)
             if code != 0:
                 raise SystemExit(f"hsttn {argv[0]} exited {code}")
-        for path in sorted(p for p in root.rglob("*") if p.is_file() and p.suffix != ".cfg"):
+        # a hidden file is the loader's grid cache, which older trees do not write
+        for path in sorted(p for p in root.rglob("*")
+                           if p.is_file() and p.suffix != ".cfg" and not p.name.startswith(".")):
             out[f"cli/{path.relative_to(root).as_posix()}"] = sha(path.read_bytes())
 
 
@@ -234,13 +238,15 @@ def irregular_csv(path: Path) -> None:
 def loader_digests(out: dict) -> None:
     from hsttn.data import Schema, load_records
 
+    schema = Schema(channels=("Wspd", "Wdir", "Patv"), nacelle_direction=None)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "irregular.csv"
         irregular_csv(path)
-        rs = load_records(path, Schema(channels=("Wspd", "Wdir", "Patv"), nacelle_direction=None))
-    out["loader/values"] = sha(rs.values)
-    out["loader/validity"] = sha(rs.validity)
-    out["loader/turbine_ids"] = sha(repr(rs.turbine_ids))
+        loads = {"loader": load_records(path, schema), "loader/cached": load_records(path, schema)}
+    for prefix, rs in loads.items():
+        out[f"{prefix}/values"] = sha(rs.values)
+        out[f"{prefix}/validity"] = sha(rs.validity)
+        out[f"{prefix}/turbine_ids"] = sha(repr(rs.turbine_ids))
 
 
 def writer_digests(out: dict) -> None:

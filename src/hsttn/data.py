@@ -9,8 +9,12 @@ Invalid cells never influence statistics, losses, or metrics.
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import re
+import stat
+import tempfile
 from dataclasses import InitVar, dataclass, fields, replace
 from functools import partial
 from itertools import chain, islice
@@ -146,6 +150,10 @@ _TIME_OF_DAY = re.compile(r"(-?[0-9]{1,2}):(-?[0-9]{1,2})(?::00)?")
 # at a time; larger blocks were no faster and raised a small file's peak memory
 _BLOCK_ROWS = 1024
 _KEY_ERROR = "cannot parse turbine id, day, or time"
+# the grid parsed from a record file `x.csv` is kept beside it in `.x.csv.hsttn-grid`
+_GRID_SUFFIX = ".hsttn-grid"
+# bytes of a record file hashed at a time; 1 MiB outgrew a refused small file's memory bound
+_HASH_BLOCK = 256 * 1024
 
 
 def _parse_key(text) -> int:
@@ -265,8 +273,102 @@ def load_records(path, schema: Schema) -> RecordSet:
     the earliest line at fault; within a line, the id, day and time first.
     Each block of `_BLOCK_ROWS` lines is read by numpy's C reader, or by the csv
     walk where that cannot read it exactly and from a quote on; each distinct
-    id, day and time text is parsed once."""
+    id, day and time text is parsed once.
+
+    The parsed grid of a regular file `x.csv` is kept beside it in
+    `.x.csv.hsttn-grid`, under a sha256 of this module's source, the schema
+    and the file's bytes, and a later load with the same key reads it from
+    there: the same values, validity and ids. A cache that is missing,
+    damaged or of another key is parsed over and written again. None is
+    written for a refused file, a file that is not regular (a FIFO) or one
+    whose size or mtime changed while it was read, and a failed write only
+    logs at debug level, so deleting the cache is always safe."""
     path = Path(path)
+    found = _grid_key(path, schema)
+    if found is None:
+        return _parse_records(path, schema)
+    key, stamp = found
+    sidecar = path.with_name(f".{path.name}{_GRID_SUFFIX}")
+    rs = _cached_grid(sidecar, key, schema)
+    if rs is None:
+        rs = _parse_records(path, schema)
+        _store_grid(path, stamp, sidecar, key, rs)
+    return rs
+
+
+def _grid_key(path: Path, schema: Schema):
+    """The sha256 over this module's source, the schema and the bytes of `path`, with the
+    file's (size, mtime) from before they were read; None where `path` is not a regular
+    file it can read, whose parse then says what is wrong."""
+    import hashlib
+
+    try:
+        info = path.stat()
+        if not stat.S_ISREG(info.st_mode):  # a FIFO's bytes can be read only once
+            return None
+        # NUL ends each part: source holds none, and a repr escapes it
+        digest = hashlib.sha256(b"\0".join([Path(__file__).read_bytes(), repr(schema).encode(), b""]))
+        buffer = bytearray(_HASH_BLOCK)
+        with path.open("rb", buffering=0) as fh:
+            while size := fh.readinto(buffer):
+                digest.update(memoryview(buffer)[:size])
+    except OSError:
+        return None
+    return digest.hexdigest(), (info.st_size, info.st_mtime_ns)
+
+
+def _grid_digest(key: str, ids: list[str], values: np.ndarray) -> str:
+    """The sha256 a grid cache holds of its key, turbine ids, shape and values."""
+    import hashlib
+
+    digest = hashlib.sha256(repr((key, ids, values.shape)).encode())
+    digest.update(np.ascontiguousarray(values))
+    return digest.hexdigest()
+
+
+def _cached_grid(sidecar: Path, key: str, schema: Schema) -> Optional[RecordSet]:
+    """The grid that `sidecar` holds intact under `key`, validity rebuilt as the parse
+    builds it; else None."""
+    from .container import read_container
+
+    try:
+        header, arrays = read_container(sidecar)
+        values, ids = arrays["values"], header["turbine_ids"]
+        if header["key"] != key or header["digest"] != _grid_digest(key, ids, values):
+            return None
+        return RecordSet(schema=schema, values=values, validity=np.isfinite(values).all(axis=2),
+                         turbine_ids=tuple(map(int, ids)))
+    except (IngestError, KeyError, TypeError, ValueError):
+        return None
+
+
+def _store_grid(path: Path, stamp: tuple[int, int], sidecar: Path, key: str,
+                rs: RecordSet) -> None:
+    """Write `rs`'s grid to `sidecar` through a temporary file beside it, unless the size
+    or mtime of `path` is no longer `stamp`; an `OSError` is logged and its file removed."""
+    from .container import write_container
+
+    ids, tmp = [str(i) for i in rs.turbine_ids], None
+    try:
+        info = path.stat()
+        if (info.st_size, info.st_mtime_ns) != stamp:
+            return
+        fd, tmp = tempfile.mkstemp(prefix=f"{sidecar.name}.", dir=sidecar.parent)
+        os.close(fd)
+        write_container(tmp, {"key": key, "turbine_ids": ids,
+                              "digest": _grid_digest(key, ids, rs.values)}, {"values": rs.values})
+        os.replace(tmp, sidecar)
+    except OSError as exc:
+        import logging
+
+        logging.getLogger("hsttn").debug("grid cache %s not written: %s", sidecar, exc)
+        if tmp is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+
+
+def _parse_records(path: Path, schema: Schema) -> RecordSet:
+    """`load_records`' parse of the record file `path`, without its grid cache."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             first = next(fh, None)

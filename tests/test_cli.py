@@ -533,6 +533,36 @@ class TestEvaluate:
         assert not (tmp_path / "report.kv").exists()
 
 
+class TestGridCache:
+    def test_cold_and_warm_caches_write_the_same_artifacts(self, tmp_path, monkeypatch):
+        """train -> evaluate -> predict writes the same bytes whether each load
+        parses the record file or each reads the grid cache beside it."""
+        assert main(["synth", "--out", str(tmp_path), "--turbines", "2", "--timestamps", "160",
+                     "--channels", "4", "--seed", "3", "--noise", "0.05"]) == 0
+        data = ["--data", str(tmp_path / "synthetic.csv"),
+                "--schema", str(tmp_path / "synthetic.schema")]
+        artifacts = {}
+        for run in ("cold", "warm"):
+            out = tmp_path / run
+            (tmp_path / f"{run}.cfg").write_text(RUN_CONFIG.replace("run_out", run))
+            ckpt = ["--checkpoint", str(out / "checkpoint.bin")]
+            for argv in (["train", "--config", str(tmp_path / f"{run}.cfg")],
+                         ["evaluate", *ckpt, *data, "--start", "130", "--stride", "6",
+                          "--out", str(out)],
+                         ["predict", *ckpt, *data, "--origin", "140", "--out", str(out)]):
+                with monkeypatch.context() as patch:
+                    if run == "cold":
+                        (tmp_path / ".synthetic.csv.hsttn-grid").unlink(missing_ok=True)
+                    else:
+                        patch.setattr("hsttn.data._parse_records",
+                                      lambda *args: pytest.fail("the warm run parsed"))
+                    assert main(argv) == 0
+            artifacts[run] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert list(artifacts["cold"]) == ["checkpoint.bin", "forecast.csv", "report.csv",
+                                           "report.kv", "train_log.csv", "truth.csv"]
+        assert artifacts["cold"] == artifacts["warm"]
+
+
 class TestNonFinite:
     def test_nan_parameters_fail_evaluate_and_predict(self, workspace, tmp_path):
         ckpt = load_checkpoint(workspace / "run_out" / "checkpoint.bin")

@@ -1,7 +1,11 @@
 import csv
+import os
 import random
+import shutil
+import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +44,17 @@ def write_rows(path, header, rows):
 
 
 HEADER = ["TurbID", "Day", "Tmstamp", "Wspd", "Wdir", "Patv"]
+
+
+def grid_cache(path):
+    """Where `load_records` keeps the grid it parsed from record file `path`."""
+    return path.with_name(f".{path.name}.hsttn-grid")
+
+
+def parse_again(path):
+    """Delete the grid cache of record file `path`, if a load left one, so that the
+    next load parses the file."""
+    grid_cache(path).unlink(missing_ok=True)
 
 
 class TestLoadRecords:
@@ -446,6 +461,7 @@ class TestBlockwiseLoad:
         for whole_file in (False, True):
             if whole_file:
                 monkeypatch.setattr("hsttn.data._BLOCK_ROWS", 10 ** 9)
+                parse_again(path)
             tracemalloc.start()
             try:
                 load_records(path, rs.schema)
@@ -570,6 +586,7 @@ class TestCReader:
             path.write_text(content + "\n", newline="")
         fast = load_outcome(path, small_schema())
         monkeypatch.setattr("hsttn.data._c_columns", lambda *args: None)
+        parse_again(path)
         assert load_outcome(path, small_schema()) == fast
 
     def test_empty_and_missing_cells_never_reach_the_walk(self, tmp_path, monkeypatch):
@@ -600,6 +617,143 @@ class TestCReader:
         loaded = load_records(path, small_schema())
         assert loaded.values.tobytes() == rs.values.tobytes()
         assert walked and set(walked) == {np.ndarray}
+
+
+class TestGridCache:
+    """A load served from the grid cache gives what the parse gives, and the cache
+    is used only for the file, schema and loader it was written by."""
+
+    @staticmethod
+    def farm(tmp_path, name="farm.csv"):
+        """A record file whose grid has nan, inf and -0.0 cells, invalid rows and
+        ids above 2**64, and the grid it was written from."""
+        rng = np.random.default_rng(9)
+        values = rng.normal(size=(3, 40, 3))
+        values[0, 3], values[1, 5, 1], values[2, 7] = np.nan, np.inf, -0.0
+        validity = np.ones((3, 40), dtype=bool)  # a valid row's nan and inf are written
+        validity[2, 9] = False
+        rs = RecordSet(schema=small_schema(), values=values, validity=validity,
+                       turbine_ids=(4, 2 ** 64 + 1, 10 ** 30))
+        path = tmp_path / name
+        write_csv(rs, path)
+        return path, rs
+
+    @staticmethod
+    def served(path, schema, monkeypatch):
+        """A load of `path` that fails if it parses the file."""
+        with monkeypatch.context() as patch:
+            patch.setattr("hsttn.data._parse_records", lambda *args: pytest.fail("parsed"))
+            return load_records(path, schema)
+
+    @staticmethod
+    def same(a, b):
+        return (a.values.dtype == b.values.dtype and a.values.tobytes() == b.values.tobytes()
+                and a.validity.tobytes() == b.validity.tobytes()
+                and a.turbine_ids == b.turbine_ids and a.schema == b.schema)
+
+    def test_a_hit_is_the_parse_bitwise(self, tmp_path, monkeypatch):
+        path, rs = self.farm(tmp_path)
+        parsed = load_records(path, rs.schema)
+        assert grid_cache(path).is_file()
+        hit = self.served(path, rs.schema, monkeypatch)
+        assert self.same(hit, parsed) and hit.turbine_ids == rs.turbine_ids
+        assert np.signbit(hit.values[2, 7]).all() and np.isinf(hit.values[1, 5, 1])
+        assert np.isnan(hit.values[0, 3]).all() and hit.validity.sum() == 3 * 40 - 2
+
+    def test_an_edit_of_the_same_size_and_mtime_misses(self, tmp_path):
+        path, rs = self.farm(tmp_path)
+        before = load_records(path, rs.schema).values.tobytes()
+        info = path.stat()
+        data = path.read_bytes()
+        at = data.index(b"\n4,1,00:10,") + len(b"\n4,1,00:10,") + 1  # a digit of Wspd
+        path.write_bytes(data[:at] + (b"7" if data[at:at + 1] != b"7" else b"8") + data[at + 1:])
+        os.utime(path, ns=(info.st_atime_ns, info.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (info.st_size, info.st_mtime_ns)
+        after = load_records(path, rs.schema).values.tobytes()
+        assert after != before and after == parse_outcome(path, rs.schema)[0]
+
+    def test_schemas_that_join_to_the_same_text_miss_each_other(self, tmp_path):
+        # `Schema.to_dict` writes both channel tuples as "a,b,c,t"
+        one, other = (Schema(channels=channels, target="t", wind_speed=None,
+                             wind_direction=None, nacelle_direction=None)
+                      for channels in (("a,b", "c", "t"), ("a", "b,c", "t")))
+        assert one.to_dict() == other.to_dict()
+        path = tmp_path / "farm.csv"
+        path.write_text('TurbID,Day,Tmstamp,"a,b",c,t\n1,1,00:00,1.0,2.0,3.0\n')
+        assert load_records(path, one).values.tolist() == [[[1.0, 2.0, 3.0]]]
+        assert grid_cache(path).is_file()
+        with pytest.raises(IngestError, match=r"unknown column\(s\) \['a,b', 'c'\]"):
+            load_records(path, other)
+        assert hsttn.data._grid_key(path, one)[0] != hsttn.data._grid_key(path, other)[0]
+
+    @pytest.mark.parametrize("damage", ["truncated", "flipped-payload-byte", "another-files"])
+    def test_a_damaged_or_foreign_cache_is_parsed_over(self, tmp_path, monkeypatch, damage):
+        path, rs = self.farm(tmp_path)
+        parsed = load_records(path, rs.schema)
+        written = grid_cache(path).read_bytes()
+        if damage == "truncated":
+            grid_cache(path).write_bytes(written[:len(written) // 2])
+        elif damage == "flipped-payload-byte":
+            grid_cache(path).write_bytes(written[:-3] + bytes([written[-3] ^ 1]) + written[-2:])
+        else:
+            (tmp_path / "other").mkdir()
+            other, _ = self.farm(tmp_path / "other")
+            other.write_text(other.read_text().replace(",4,", ",5,"), newline="")
+            load_records(other, rs.schema)
+            shutil.copy(grid_cache(other), grid_cache(path))
+        assert self.same(load_records(path, rs.schema), parsed)
+        assert grid_cache(path).read_bytes() == written
+        assert self.same(self.served(path, rs.schema, monkeypatch), parsed)
+
+    @pytest.mark.parametrize("failure", ["read-only-directory", "failed-replace"])
+    def test_a_failed_write_loads_and_leaves_nothing(self, tmp_path, monkeypatch, failure):
+        path, rs = self.farm(tmp_path)
+        if failure == "read-only-directory":
+            tmp_path.chmod(0o555)
+            if os.geteuid() == 0:  # root writes there anyway: fail as for other users
+                monkeypatch.setattr("tempfile.mkstemp", lambda **kw: (_ for _ in ()).throw(
+                    PermissionError(13, "Permission denied")))
+        else:
+            monkeypatch.setattr("os.replace", lambda *args: (_ for _ in ()).throw(
+                OSError(28, "No space left on device")))
+        try:
+            for _ in range(2):
+                assert load_records(path, rs.schema).values.tobytes() == \
+                    parse_outcome(path, rs.schema)[0]
+                assert [p.name for p in tmp_path.iterdir()] == ["farm.csv"]
+        finally:
+            tmp_path.chmod(0o755)
+
+    def test_a_fifo_loads_and_leaves_nothing(self, tmp_path):
+        path, rs = self.farm(tmp_path)
+        text = path.read_bytes()
+        path.unlink()
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(text,), daemon=True)
+        writer.start()
+        loaded = load_records(path, rs.schema)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert [p.name for p in tmp_path.iterdir()] == ["farm.csv"]
+        (tmp_path / "regular.csv").write_bytes(text)
+        assert loaded.values.tobytes() == parse_outcome(tmp_path / "regular.csv", rs.schema)[0]
+
+    def test_a_refused_file_leaves_no_cache(self, tmp_path):
+        path = tmp_path / "farm.csv"
+        write_rows(path, HEADER, [[1, 1, "00:00", 5.0, 10.0, 100.0],
+                                  [1, 1, "00:00", 6.0, 11.0, 101.0]])
+        first = load_outcome(path, small_schema())
+        assert "duplicate record" in first
+        assert [p.name for p in tmp_path.iterdir()] == ["farm.csv"]
+        assert load_outcome(path, small_schema()) == first
+
+
+def parse_outcome(path, schema):
+    """What the parse makes of `path`, as `load_outcome` gives it, with no grid cache."""
+    parse_again(path)
+    outcome = load_outcome(path, schema)
+    parse_again(path)
+    return outcome
 
 
 class TestMarkInvalid:
