@@ -724,6 +724,15 @@ class TestGridCache:
         finally:
             tmp_path.chmod(0o755)
 
+    def test_a_file_changed_while_loaded_leaves_no_cache(self, tmp_path, monkeypatch):
+        path, rs = self.farm(tmp_path)
+        parse = hsttn.data._parse_records
+        monkeypatch.setattr("hsttn.data._parse_records",
+                            lambda p, schema: (os.utime(p, ns=(0, 0)), parse(p, schema))[1])
+        loaded = load_records(path, rs.schema)
+        assert [p.name for p in tmp_path.iterdir()] == ["farm.csv"]
+        assert loaded.values.tobytes() == parse_outcome(path, rs.schema)[0]
+
     def test_a_fifo_loads_and_leaves_nothing(self, tmp_path):
         path, rs = self.farm(tmp_path)
         text = path.read_bytes()
