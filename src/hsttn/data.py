@@ -275,22 +275,19 @@ def load_records(path, schema: Schema) -> RecordSet:
     walk where that cannot read it exactly and from a quote on; each distinct
     id, day and time text is parsed once.
 
-    The parsed grid of a regular file `x.csv` is kept beside it in
+    A regular file `x.csv` is parsed once: its grid is kept beside it in
     `.x.csv.hsttn-grid`, under a sha256 of this module's source, the schema
-    and the file's bytes, and a later load with the same key reads it from
-    there: the same values, validity and ids. A cache that is missing,
-    damaged or of another key is parsed over and written again. None is
-    written for a refused file, a file that is not regular (a FIFO) or one
-    whose size or mtime changed while it was read, and a failed write only
-    logs at debug level, so deleting the cache is always safe."""
+    and the file's bytes, and a load with the same key reads the grid from
+    there, bitwise what the parse gives. A cache that is missing, damaged or
+    of another key is parsed over and written again. None is written for a
+    refused file, a FIFO, or a file whose size or mtime moved while it was
+    loaded; a failed write is only logged, so deleting the cache is safe."""
     path = Path(path)
-    found = _grid_key(path, schema)
-    if found is None:
+    if (found := _grid_key(path, schema)) is None:
         return _parse_records(path, schema)
     key, stamp = found
     sidecar = path.with_name(f".{path.name}{_GRID_SUFFIX}")
-    rs = _cached_grid(sidecar, key, schema)
-    if rs is None:
+    if (rs := _cached_grid(sidecar, key, schema)) is None:
         rs = _parse_records(path, schema)
         _store_grid(path, stamp, sidecar, key, rs)
     return rs
@@ -307,7 +304,8 @@ def _grid_key(path: Path, schema: Schema):
         if not stat.S_ISREG(info.st_mode):  # a FIFO's bytes can be read only once
             return None
         # NUL ends each part: source holds none, and a repr escapes it
-        digest = hashlib.sha256(b"\0".join([Path(__file__).read_bytes(), repr(schema).encode(), b""]))
+        digest = hashlib.sha256(b"\0".join([Path(__file__).read_bytes(), repr(schema).encode(),
+                                            b""]))
         buffer = bytearray(_HASH_BLOCK)
         with path.open("rb", buffering=0) as fh:
             while size := fh.readinto(buffer):
@@ -327,14 +325,14 @@ def _grid_digest(key: str, ids: list[str], values: np.ndarray) -> str:
 
 
 def _cached_grid(sidecar: Path, key: str, schema: Schema) -> Optional[RecordSet]:
-    """The grid that `sidecar` holds intact under `key`, validity rebuilt as the parse
-    builds it; else None."""
+    """The grid that `sidecar` holds intact under `key`, its validity rebuilt as the
+    parse builds it; else None."""
     from .container import read_container
 
     try:
         header, arrays = read_container(sidecar)
         values, ids = arrays["values"], header["turbine_ids"]
-        if header["key"] != key or header["digest"] != _grid_digest(key, ids, values):
+        if header["digest"] != _grid_digest(key, ids, values):  # another key or damage
             return None
         return RecordSet(schema=schema, values=values, validity=np.isfinite(values).all(axis=2),
                          turbine_ids=tuple(map(int, ids)))
@@ -355,8 +353,8 @@ def _store_grid(path: Path, stamp: tuple[int, int], sidecar: Path, key: str,
             return
         fd, tmp = tempfile.mkstemp(prefix=f"{sidecar.name}.", dir=sidecar.parent)
         os.close(fd)
-        write_container(tmp, {"key": key, "turbine_ids": ids,
-                              "digest": _grid_digest(key, ids, rs.values)}, {"values": rs.values})
+        write_container(tmp, {"digest": _grid_digest(key, ids, rs.values), "turbine_ids": ids},
+                        {"values": rs.values})
         os.replace(tmp, sidecar)
     except OSError as exc:
         import logging

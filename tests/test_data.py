@@ -708,14 +708,16 @@ class TestGridCache:
     @pytest.mark.parametrize("failure", ["read-only-directory", "failed-replace"])
     def test_a_failed_write_loads_and_leaves_nothing(self, tmp_path, monkeypatch, failure):
         path, rs = self.farm(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
         if failure == "read-only-directory":
             tmp_path.chmod(0o555)
             if os.geteuid() == 0:  # root writes there anyway: fail as for other users
-                monkeypatch.setattr("tempfile.mkstemp", lambda **kw: (_ for _ in ()).throw(
-                    PermissionError(13, "Permission denied")))
+                monkeypatch.setattr("tempfile.mkstemp", refuse)
         else:
-            monkeypatch.setattr("os.replace", lambda *args: (_ for _ in ()).throw(
-                OSError(28, "No space left on device")))
+            monkeypatch.setattr("os.replace", refuse)
         try:
             for _ in range(2):
                 assert load_records(path, rs.schema).values.tobytes() == \
