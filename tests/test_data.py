@@ -5,7 +5,6 @@ import shutil
 import threading
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -624,7 +623,7 @@ class TestGridCache:
     is used only for the file, schema and loader it was written by."""
 
     @staticmethod
-    def farm(tmp_path, name="farm.csv"):
+    def farm(tmp_path):
         """A record file whose grid has nan, inf and -0.0 cells, invalid rows and
         ids above 2**64, and the grid it was written from."""
         rng = np.random.default_rng(9)
@@ -634,7 +633,7 @@ class TestGridCache:
         validity[2, 9] = False
         rs = RecordSet(schema=small_schema(), values=values, validity=validity,
                        turbine_ids=(4, 2 ** 64 + 1, 10 ** 30))
-        path = tmp_path / name
+        path = tmp_path / "farm.csv"
         write_csv(rs, path)
         return path, rs
 
