@@ -16,7 +16,9 @@ artifact, then one overall digest:
 - the same for one call along each axis on (4, 6, 96, 8) sequences, which
   `attend` splits into 8 chunks and shares among its threads;
 - a `synth` -> `train` -> `evaluate` -> `predict` flow through the CLI,
-  with every file it writes;
+  with every file it writes, and the header and each array of its
+  `checkpoint.bin` as that tree's `read_container` reads them, so a change
+  to the container's layout alone leaves those entries equal;
 - one irregular record file loaded: quoted fields (one over a block
   boundary), CRLF line ends, empty and blank cells, short rows, blank and
   comma-only lines and ids above 2**64; its values, validity and ids;
@@ -180,6 +182,7 @@ def attend_case(out: dict, prefix: str, query, keys, proj, weights) -> None:
 
 def cli_digests(out: dict) -> None:
     from hsttn.cli import main
+    from hsttn.container import read_container
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -204,6 +207,10 @@ def cli_digests(out: dict) -> None:
         for path in sorted(p for p in root.rglob("*")
                            if p.is_file() and p.suffix != ".cfg" and not p.name.startswith(".")):
             out[f"cli/{path.relative_to(root).as_posix()}"] = sha(path.read_bytes())
+        header, arrays = read_container(root / "out" / "checkpoint.bin")
+        out["cli/out/checkpoint.bin/header"] = sha(json.dumps(header, sort_keys=True))
+        for name, a in arrays.items():
+            out[f"cli/out/checkpoint.bin/{name}"] = sha(a)
 
 
 def irregular_csv(path: Path) -> None:

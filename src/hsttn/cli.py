@@ -66,8 +66,8 @@ def _setup_logging() -> None:
     logging.basicConfig(level=levels[level_name], format="%(levelname)s %(name)s: %(message)s")
 
 
-# ModelConfig fields the dataset or the head count decides
-_NOT_IN_FILE = ("n_turbines", "n_channels", "d_k", "d_v")
+# ModelConfig fields the dataset decides
+_NOT_IN_FILE = ("n_turbines", "n_channels")
 # field names the run-config file spells differently
 _FILE_KEY = {"dropout_rate": "dropout", "initial_lr": "lr"}
 
@@ -78,8 +78,8 @@ class RunConfig:
 
     The keys are the fields below plus every ModelConfig and TrainConfig
     field, with the same defaults, except the dataset-derived
-    `n_turbines`/`n_channels` and the head widths `d_k`/`d_v`. The file
-    spells `dropout_rate` as `dropout` and `initial_lr` as `lr`. Unknown
+    `n_turbines`/`n_channels`; each head is `d_model / n_heads` wide. The
+    file spells `dropout_rate` as `dropout` and `initial_lr` as `lr`. Unknown
     keys, missing keys of fields without a default, and values either
     config refuses are all refused.
     """

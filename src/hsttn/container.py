@@ -1,12 +1,15 @@
-"""Versioned binary container: a JSON header followed by named arrays.
+"""Versioned binary container: a JSON header, named arrays and a sha256 trailer.
 
-Model checkpoints are stored in it. Arrays are float64. Writing is fully
-deterministic (sorted JSON keys, insertion-ordered tensors, little-endian
-payloads), so identical state produces byte-identical files.
+Checkpoints and the grid caches of record files are stored in it. Arrays
+are float64. Writing is deterministic (sorted JSON keys, insertion-ordered
+tensors, little-endian payloads), so identical state gives identical bytes.
+The trailer hashes every byte before it: a changed, cut or added byte, like
+a file of another version, is an `IngestError`.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -17,7 +20,7 @@ import numpy as np
 from .errors import IngestError
 
 MAGIC = b"HSTN"
-VERSION = 1
+VERSION = 2
 
 # Every array is stored as little-endian float64; its dtype code byte is 0.
 _FLOAT64 = np.dtype("<f8")
@@ -26,22 +29,21 @@ _FLOAT64_CODE = 0
 
 def write_container(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    digest = hashlib.sha256()
     with Path(path).open("wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(struct.pack("<I", len(arrays)))
+        def put(data) -> None:  # bytes, or an array's buffer, hashed as written
+            digest.update(data)
+            fh.write(data)
+
+        put(MAGIC + struct.pack("<IQ", VERSION, len(header_bytes)) + header_bytes
+            + struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
             canonical = np.ascontiguousarray(arr, dtype=_FLOAT64)
             name_bytes = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(name_bytes)))
-            fh.write(name_bytes)
-            fh.write(struct.pack("<B", _FLOAT64_CODE))
-            fh.write(struct.pack("<B", canonical.ndim))
-            for dim in canonical.shape:
-                fh.write(struct.pack("<Q", dim))
-            fh.write(canonical.tobytes(order="C"))
+            put(struct.pack(f"<H{len(name_bytes)}sBB{canonical.ndim}Q", len(name_bytes),
+                            name_bytes, _FLOAT64_CODE, canonical.ndim, *canonical.shape))
+            put(canonical)
+        fh.write(digest.digest())
 
 
 def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
@@ -65,7 +67,7 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         raise IngestError(f"{path}: not a container file (bad magic)")
     (version,) = struct.unpack("<I", take(4))
     if version != VERSION:
-        raise IngestError(f"{path}: unsupported container version {version}")
+        raise IngestError(f"{path}: unsupported container version {version}; expected {VERSION}")
     (header_len,) = struct.unpack("<Q", take(8))
     try:
         header = json.loads(bytes(take(header_len)).decode("utf-8"))
@@ -91,4 +93,9 @@ def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
         count = math.prod(shape)
         data = np.frombuffer(take(count * _FLOAT64.itemsize), dtype=_FLOAT64).reshape(shape)
         arrays[name] = data.copy()
+    body, trailer = offset, bytes(take(32))  # the sha256 trailer
+    if offset != len(view):
+        raise IngestError(f"{path}: {len(view) - offset} bytes after the container's end")
+    if hashlib.sha256(view[:body]).digest() != trailer:
+        raise IngestError(f"{path}: container checksum mismatch: the file is damaged")
     return header, arrays

@@ -95,7 +95,14 @@ class Schema:
         write_kv(path, self.to_dict(), header="farm record schema")
 
     def to_dict(self) -> dict[str, str]:
-        """The text entries `from_kv` reads back, in schema-file order."""
+        """The text entries `from_kv` reads back, in schema-file order; a
+        `ConfigError` names a column whose name they would not carry."""
+        roles = {getattr(self, role) for role in _ROLES}
+        for name in (self.id_column, self.day_column, self.time_column, *self.channels):
+            if (name.strip() != name or "".join(name.splitlines()) != name
+                    or name in self.channels and ("," in name or not name)
+                    or name.lower() == "none" and name in roles):
+                raise ConfigError(f"column name {name!r} cannot be written to a schema file")
         keys = ("id_column", "day_column", "time_column", "step_minutes", "channels",
                 "target", *_ROLES)
         values = {k: getattr(self, k) for k in keys}
@@ -276,10 +283,10 @@ def load_records(path, schema: Schema) -> RecordSet:
     id, day and time text is parsed once.
 
     A regular file `x.csv` is parsed once: its grid is kept beside it in
-    `.x.csv.hsttn-grid`, under a sha256 of this module's source, the schema
-    and the file's bytes, and a load with the same key reads the grid from
-    there, bitwise what the parse gives. A cache that is missing, damaged or
-    of another key is parsed over and written again. None is written for a
+    `.x.csv.hsttn-grid` under a sha256 of this module's source, the schema and
+    the file's bytes, and a load with the same key reads the grid from there,
+    bitwise what the parse gives. A cache that is missing, of another key, or
+    refused by its container's checksum is parsed over. None is written for a
     refused file, a FIFO, or a file whose size or mtime moved while it was
     loaded; a failed write is only logged, so deleting the cache is safe."""
     path = Path(path)
@@ -315,24 +322,15 @@ def _grid_key(path: Path, schema: Schema):
     return digest.hexdigest(), (info.st_size, info.st_mtime_ns)
 
 
-def _grid_digest(key: str, ids: list[str], values: np.ndarray) -> str:
-    """The sha256 a grid cache holds of its key, turbine ids, shape and values."""
-    import hashlib
-
-    digest = hashlib.sha256(repr((key, ids, values.shape)).encode())
-    digest.update(np.ascontiguousarray(values))
-    return digest.hexdigest()
-
-
 def _cached_grid(sidecar: Path, key: str, schema: Schema) -> Optional[RecordSet]:
-    """The grid that `sidecar` holds intact under `key`, its validity rebuilt as the
-    parse builds it; else None."""
+    """The grid that `sidecar` holds under `key`, its validity rebuilt as the parse
+    builds it; else None. The container's checksum refuses a damaged cache."""
     from .container import read_container
 
     try:
         header, arrays = read_container(sidecar)
         values, ids = arrays["values"], header["turbine_ids"]
-        if header["digest"] != _grid_digest(key, ids, values):  # another key or damage
+        if header["key"] != key:  # another file's, schema's or loader's grid
             return None
         return RecordSet(schema=schema, values=values, validity=np.isfinite(values).all(axis=2),
                          turbine_ids=tuple(map(int, ids)))
@@ -353,8 +351,7 @@ def _store_grid(path: Path, stamp: tuple[int, int], sidecar: Path, key: str,
             return
         fd, tmp = tempfile.mkstemp(prefix=f"{sidecar.name}.", dir=sidecar.parent)
         os.close(fd)
-        write_container(tmp, {"digest": _grid_digest(key, ids, rs.values), "turbine_ids": ids},
-                        {"values": rs.values})
+        write_container(tmp, {"key": key, "turbine_ids": ids}, {"values": rs.values})
         os.replace(tmp, sidecar)
     except OSError as exc:
         import logging

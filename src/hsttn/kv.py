@@ -30,7 +30,6 @@ FIELD_TYPES = {
         lambda raw: () if raw in ("", "none") else tuple(map(int, raw.split(","))),
         "comma-separated integers",
         lambda v: type(v) is list and all(type(p) is int for p in v)),
-    "Optional[int]": FieldType(None, None, lambda v: v is None or type(v) is int),
     "str": FieldType(str, None, None),
     "Optional[str]": FieldType(lambda raw: None if raw.lower() in ("", "none") else raw,
                                None, None),

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -59,8 +58,6 @@ class ModelConfig:
     horizon_len: int = 144
     d_model: int = 16
     n_heads: int = 2
-    d_k: Optional[int] = None
-    d_v: Optional[int] = None
     pool_factors: tuple[int, ...] = (3, 2)
     layers_encoder: int = 2
     layers_decoder: int = 1
@@ -75,9 +72,6 @@ class ModelConfig:
                      "n_heads", "layers_encoder", "layers_decoder"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        for name in ("d_k", "d_v"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive or None, got {getattr(self, name)}")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model={self.d_model} must be divisible by n_heads={self.n_heads}"
@@ -101,14 +95,6 @@ class ModelConfig:
                     f"history_len={self.history_len} is not divisible by the cumulative "
                     f"pooling factor {running} (factors {self.pool_factors})"
                 )
-
-    @property
-    def head_dim_k(self) -> int:
-        return self.d_k if self.d_k is not None else self.d_model // self.n_heads
-
-    @property
-    def head_dim_v(self) -> int:
-        return self.d_v if self.d_v is not None else self.d_model // self.n_heads
 
     @property
     def fused(self) -> bool:
@@ -241,9 +227,8 @@ class AttentionWeights:
     @classmethod
     def declare(cls, store: ModelParameters, prefix: str, cfg: ModelConfig
                 ) -> "AttentionWeights":
-        d, qk, v = cfg.d_model, cfg.n_heads * cfg.head_dim_k, cfg.n_heads * cfg.head_dim_v
-        return cls(store.glorot(f"{prefix}.wq", (d, qk)), store.glorot(f"{prefix}.wk", (d, qk)),
-                   store.glorot(f"{prefix}.wv", (d, v)), store.glorot(f"{prefix}.wo", (v, d)))
+        shape = (cfg.d_model, cfg.d_model)  # n_heads heads of width d_model / n_heads
+        return cls(*(store.glorot(f"{prefix}.{w}", shape) for w in ("wq", "wk", "wv", "wo")))
 
 
 # The axis of a turbine-major (..., N, L, d) map that each branch attends

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,9 @@ from hsttn.checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from hsttn.container import read_container, write_container
+from hsttn.container import VERSION, read_container, write_container
 from hsttn.data import NormStats, Schema
-from hsttn.errors import IngestError
+from hsttn.errors import ConfigError, IngestError
 from hsttn.model import HSTTN, ModelConfig
 from hsttn.training import Checkpoint, TrainConfig
 
@@ -95,6 +97,21 @@ class TestContainer:
         with pytest.raises(IngestError, match=f"unknown dtype code {code}"):
             read_container(path)
 
+    def test_layout_is_pinned(self, tmp_path):
+        # a deliberate change to the layout edits these two lines together
+        assert VERSION == 2
+        path = tmp_path / "c.bin"
+        write_container(path, {"kind": "t"}, {"x": np.array([0.0, 1.0, 2.0])})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            "a6acb09d648a6744390bb4228187b0a696645fa2b83d926c711a161080be5694"
+
+    def test_bytes_after_the_trailer_are_refused(self, tmp_path):
+        path = tmp_path / "c.bin"
+        write_container(path, {"kind": "t"}, {"x": np.ones(2)})
+        path.write_bytes(path.read_bytes() + b"\0")
+        with pytest.raises(IngestError, match="1 bytes after the container's end"):
+            read_container(path)
+
     def test_byte_determinism(self, tmp_path):
         arrays = {"w": np.linspace(0, 1, 7)}
         write_container(tmp_path / "a.bin", {"k": 1}, arrays)
@@ -176,6 +193,14 @@ class TestCheckpoint:
         write_container(path, header, arrays)
         with pytest.raises(IngestError, match="norm"):
             load_checkpoint(path)
+
+    def test_a_schema_its_header_cannot_carry_is_refused(self, tmp_path):
+        # joined with commas, the channels would read back as a, Etmp, C and c
+        schema = Schema(channels=("a", "Etmp, C", "c"), target="c", wind_speed=None,
+                        wind_direction=None, nacelle_direction=None)
+        with pytest.raises(ConfigError, match="'Etmp, C'"):
+            save_checkpoint(tmp_path / "ckpt.bin", make_checkpoint(schema=schema))
+        assert not (tmp_path / "ckpt.bin").exists()
 
     def test_not_a_checkpoint(self, tmp_path):
         path = tmp_path / "d.bin"

@@ -7,7 +7,7 @@ from xml.etree import ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsttn import autodiff
@@ -613,21 +613,44 @@ class TestCorruptCheckpoint:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_flips_and_truncations_give_documented_exit_codes(self, workspace, data):
-        blob = bytearray((workspace / "run_out" / "checkpoint.bin").read_bytes())
-        if data.draw(st.booleans(), label="truncate"):
-            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
-        else:
-            flips = st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255))
-            for index, mask in data.draw(st.lists(flips, min_size=1, max_size=4), label="flips"):
-                blob[index] ^= mask
+        intact = (workspace / "run_out" / "checkpoint.bin").read_bytes()
+        blob = mutate(data, intact)
+        assume(blob != intact)  # two flips of one byte can cancel out
         fuzz = workspace / "fuzz"
         fuzz.mkdir(exist_ok=True)
-        (fuzz / "checkpoint.bin").write_bytes(bytes(blob))
+        (fuzz / "checkpoint.bin").write_bytes(blob)
         code = main(["evaluate", "--checkpoint", str(fuzz / "checkpoint.bin"),
                      "--data", str(workspace / "synthetic.csv"),
                      "--schema", str(workspace / "synthetic.schema"),
                      "--start", "130", "--stride", "6", "--out", str(fuzz / "out")])
-        assert code in (0, 2, 3, 4)
+        assert code == 3 and not (fuzz / "out").exists()
+
+    @pytest.mark.parametrize("where", ["param", "norm.std", "header", "trailer", "version-1"])
+    def test_one_changed_byte_is_an_io_error(self, workspace, tmp_path, capsys, where):
+        intact = workspace / "run_out" / "checkpoint.bin"
+        blob, arrays = bytearray(intact.read_bytes()), read_container(intact)[1]
+        param = next(a for name, a in arrays.items() if name.startswith("param."))
+        at = {"param": blob.find(param.tobytes()),  # the lowest byte of its first value
+              "norm.std": blob.find(arrays["norm.std"].tobytes()),
+              "header": blob.find(b'"epoch":') + len(b'"epoch":'),  # a digit to a digit
+              "trailer": len(blob) - 1}
+        if where == "version-1":  # the layout before the sha256 trailer
+            blob[4:8], blob[-32:] = struct.pack("<I", 1), b""
+        else:
+            assert at[where] >= 16
+            blob[at[where]] ^= 1
+        path = tmp_path / "checkpoint.bin"
+        path.write_bytes(bytes(blob))
+        assert main(["evaluate", "--checkpoint", str(path),
+                     "--data", str(workspace / "synthetic.csv"),
+                     "--schema", str(workspace / "synthetic.schema"),
+                     "--start", "130", "--stride", "6", "--out", str(tmp_path / "e")]) == 3
+        assert self.run_predict(workspace, path) == 3
+        shown = ("unsupported container version 1;" if where == "version-1"
+                 else "container checksum mismatch")
+        for err in capsys.readouterr().err.splitlines():
+            assert err.startswith(f"error: {path}: ") and shown in err
+        assert not (tmp_path / "e").exists() and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("edit, code", [
         (lambda s: dict(s, target="Aux"), 3),

@@ -2,9 +2,10 @@ import csv
 import os
 import random
 import shutil
+import struct
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from hsttn.data import (
     write_csv,
 )
 from hsttn.errors import ConfigError, DatasetError, IngestError
+from hsttn.kv import write_kv
 
 
 def small_schema():
@@ -672,11 +674,12 @@ class TestGridCache:
         assert after != before and after == parse_outcome(path, rs.schema)[0]
 
     def test_schemas_that_join_to_the_same_text_miss_each_other(self, tmp_path):
-        # `Schema.to_dict` writes both channel tuples as "a,b,c,t"
+        # joined with commas, both channel tuples would read "a,b,c,t"
         one, other = (Schema(channels=channels, target="t", wind_speed=None,
                              wind_direction=None, nacelle_direction=None)
                       for channels in (("a,b", "c", "t"), ("a", "b,c", "t")))
-        assert one.to_dict() == other.to_dict()
+        with pytest.raises(ConfigError, match="'a,b'"):
+            one.to_dict()
         path = tmp_path / "farm.csv"
         path.write_text('TurbID,Day,Tmstamp,"a,b",c,t\n1,1,00:00,1.0,2.0,3.0\n')
         assert load_records(path, one).values.tolist() == [[[1.0, 2.0, 3.0]]]
@@ -685,15 +688,22 @@ class TestGridCache:
             load_records(path, other)
         assert hsttn.data._grid_key(path, one)[0] != hsttn.data._grid_key(path, other)[0]
 
-    @pytest.mark.parametrize("damage", ["truncated", "flipped-payload-byte", "another-files"])
+    @pytest.mark.parametrize("damage", ["truncated", "flipped-payload-byte",
+                                        "flipped-trailer-byte", "version-1", "another-files"])
     def test_a_damaged_or_foreign_cache_is_parsed_over(self, tmp_path, monkeypatch, damage):
         path, rs = self.farm(tmp_path)
         parsed = load_records(path, rs.schema)
         written = grid_cache(path).read_bytes()
+        # the values come last, then the 32-byte sha256 trailer
+        flip = {"flipped-payload-byte": len(written) - 32 - 3,
+                "flipped-trailer-byte": len(written) - 3}
         if damage == "truncated":
             grid_cache(path).write_bytes(written[:len(written) // 2])
-        elif damage == "flipped-payload-byte":
-            grid_cache(path).write_bytes(written[:-3] + bytes([written[-3] ^ 1]) + written[-2:])
+        elif damage in flip:
+            at = flip[damage]
+            grid_cache(path).write_bytes(written[:at] + bytes([written[at] ^ 1]) + written[at + 1:])
+        elif damage == "version-1":  # the layout before the trailer
+            grid_cache(path).write_bytes(written[:4] + struct.pack("<I", 1) + written[8:-32])
         else:
             (tmp_path / "other").mkdir()
             other, _ = self.farm(tmp_path / "other")
@@ -1029,6 +1039,36 @@ class TestSchemaFile:
     def test_save_load_round_trip(self, tmp_path):
         schema = Schema(channels=DEFAULT_CHANNELS)
         path = tmp_path / "farm.schema"
+        schema.save(path)
+        assert Schema.load(path) == schema
+
+    @given(names=st.lists(st.text(" ,\n#=ab", max_size=3) | st.sampled_from(["none", "None"]),
+                          min_size=5, max_size=7, unique=True),
+           role=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_a_name_the_file_cannot_carry_is_refused(self, tmp_path_factory, names, role):
+        schema = Schema(id_column=names[0], day_column=names[1], time_column=names[2],
+                        channels=tuple(names[3:]), target=names[-1],
+                        wind_speed=names[3] if role else None, wind_direction=None,
+                        nacelle_direction=None)
+        # the entries as written before names were checked: tuples joined with commas
+        joined = {f.name: ",".join(v) if isinstance(v := getattr(schema, f.name), tuple)
+                  else "none" if v is None else str(v) for f in fields(Schema)}
+        path = tmp_path_factory.mktemp("schema") / "farm.schema"
+        write_kv(path, joined)
+        try:
+            read_back = Schema.load(path) == schema
+        except ConfigError:
+            read_back = False
+        try:
+            entries = schema.to_dict()
+        except ConfigError as exc:
+            assert not read_back
+            assert any(f"column name {name!r} " in str(exc) for name in names)
+            with pytest.raises(ConfigError, match="cannot be written"):
+                schema.save(path)
+            return
+        assert read_back and entries == joined
         schema.save(path)
         assert Schema.load(path) == schema
 
