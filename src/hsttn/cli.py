@@ -21,6 +21,7 @@ from xml.etree import ElementTree as ET
 import numpy as np
 
 from . import checkpoint as ckpt_io
+from .container import replacing
 from .data import (
     RecordSet,
     Schema,
@@ -129,7 +130,7 @@ class RunConfig:
 
 
 def _write_table(path, header: list[str], rows) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with replacing(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -353,7 +354,8 @@ def cmd_plot(args) -> int:
                   f"{len(steps)} steps")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    ET.ElementTree(svg).write(out, encoding="unicode", xml_declaration=True)
+    with replacing(out, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
+        ET.ElementTree(svg).write(fh, encoding="unicode", xml_declaration=True)
     print(f"plot -> {out}")
     return EXIT_OK
 

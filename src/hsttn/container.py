@@ -1,17 +1,19 @@
-"""Versioned binary container: a JSON header, named arrays and a sha256 trailer.
+"""Versioned binary container: a JSON header, named arrays and a sha256 trailer, and
+`replacing`, through which the package writes every file whole or not at all.
 
-Checkpoints and the grid caches of record files are stored in it. Arrays
-are float64. Writing is deterministic (sorted JSON keys, insertion-ordered
-tensors, little-endian payloads), so identical state gives identical bytes.
-The trailer hashes every byte before it: a changed, cut or added byte, like
-a file of another version, is an `IngestError`.
+Checkpoints and record files' grid caches are stored in it, as float64 arrays. Writing is
+deterministic (sorted JSON keys, insertion-ordered tensors, little-endian payloads), so
+identical state gives identical bytes. The trailer hashes every byte before it: a changed,
+cut or added byte, like another version's file, is an `IngestError`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -27,10 +29,31 @@ _FLOAT64 = np.dtype("<f8")
 _FLOAT64_CODE = 0
 
 
+@contextlib.contextmanager
+def replacing(path, mode: str, **kwargs):
+    """`open(path, mode, **kwargs)` written whole or not at all: the body writes a new file
+    beside `path`, of the mode `open` gives, which replaces `path` when the body ends and
+    goes if it raises. A symlink, FIFO or other non-regular `path` is written in place."""
+    path = Path(path)
+    if path.is_symlink() or path.exists() and not path.is_file():
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}")
+    fh = open(tmp, mode.replace("w", "x"), **kwargs)  # never another writer's file
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:  # the new file, unless it replaced `path`
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
 def write_container(path, header: dict, arrays: dict[str, np.ndarray]) -> None:
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     digest = hashlib.sha256()
-    with Path(path).open("wb") as fh:
+    with replacing(path, "wb") as fh:
         def put(data) -> None:  # bytes, or an array's buffer, hashed as written
             digest.update(data)
             fh.write(data)

@@ -9,12 +9,10 @@ Invalid cells never influence statistics, losses, or metrics.
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import os
+import hashlib
 import re
 import stat
-import tempfile
 from dataclasses import InitVar, dataclass, fields, replace
 from functools import partial
 from itertools import chain, islice
@@ -24,6 +22,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .autodiff import RngStream
+from .container import read_container, replacing, write_container
 from .errors import ConfigError, DatasetError, IngestError
 from .kv import parse_fields, read_kv, write_kv
 
@@ -304,8 +303,6 @@ def _grid_key(path: Path, schema: Schema):
     """The sha256 over this module's source, the schema and the bytes of `path`, with the
     file's (size, mtime) from before they were read; None where `path` is not a regular
     file it can read, whose parse then says what is wrong."""
-    import hashlib
-
     try:
         info = path.stat()
         if not stat.S_ISREG(info.st_mode):  # a FIFO's bytes can be read only once
@@ -325,8 +322,6 @@ def _grid_key(path: Path, schema: Schema):
 def _cached_grid(sidecar: Path, key: str, schema: Schema) -> Optional[RecordSet]:
     """The grid that `sidecar` holds under `key`, its validity rebuilt as the parse
     builds it; else None. The container's checksum refuses a damaged cache."""
-    from .container import read_container
-
     try:
         header, arrays = read_container(sidecar)
         values, ids = arrays["values"], header["turbine_ids"]
@@ -340,26 +335,18 @@ def _cached_grid(sidecar: Path, key: str, schema: Schema) -> Optional[RecordSet]
 
 def _store_grid(path: Path, stamp: tuple[int, int], sidecar: Path, key: str,
                 rs: RecordSet) -> None:
-    """Write `rs`'s grid to `sidecar` through a temporary file beside it, unless the size
-    or mtime of `path` is no longer `stamp`; an `OSError` is logged and its file removed."""
-    from .container import write_container
-
-    ids, tmp = [str(i) for i in rs.turbine_ids], None
+    """Write `rs`'s grid to `sidecar`, whole or not at all, unless the size or mtime of
+    `path` is no longer `stamp`; an `OSError` is only logged."""
+    ids = [str(i) for i in rs.turbine_ids]
     try:
         info = path.stat()
         if (info.st_size, info.st_mtime_ns) != stamp:
             return
-        fd, tmp = tempfile.mkstemp(prefix=f"{sidecar.name}.", dir=sidecar.parent)
-        os.close(fd)
-        write_container(tmp, {"key": key, "turbine_ids": ids}, {"values": rs.values})
-        os.replace(tmp, sidecar)
+        write_container(sidecar, {"key": key, "turbine_ids": ids}, {"values": rs.values})
     except OSError as exc:
         import logging
 
         logging.getLogger("hsttn").debug("grid cache %s not written: %s", sidecar, exc)
-        if tmp is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp)
 
 
 def _parse_records(path: Path, schema: Schema) -> RecordSet:
@@ -701,15 +688,15 @@ def _synth_schema(n_channels: int) -> Schema:
 
 
 def write_csv(rs: RecordSet, path) -> None:
-    """Write the grid back out in the loader's format, a turbine's
-    `_BLOCK_ROWS` timestamps as one string and one write. Floats use repr, so
-    a load/write round trip is lossless and byte-deterministic; a valid row
-    writes nan and inf as text, an invalid row leaves its non-finite cells
+    """Write the grid back out in the loader's format, whole or not at all
+    (`replacing`), a turbine's `_BLOCK_ROWS` timestamps as one string and one write.
+    Floats use repr, so a load/write round trip is lossless and byte-deterministic; a
+    valid row writes nan and inf as text, an invalid row leaves its non-finite cells
     empty. Only the header can need `csv`'s quoting; every line ends in its CRLF."""
     schema = rs.schema
     spd = schema.slots_per_day
     stamps = ["%02d:%02d" % divmod(m, 60) for m in range(0, MINUTES_PER_DAY, schema.step_minutes)]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+    with replacing(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow([schema.id_column, schema.day_column, schema.time_column,
                                  *schema.channels])
         for ni, tid in enumerate(map(str, rs.turbine_ids)):

@@ -7,6 +7,7 @@ from dataclasses import MISSING, Field
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple
 
+from .container import replacing
 from .errors import ConfigError, IngestError
 
 _BOOLEANS = {"true": True, "1": True, "yes": True, "on": True,
@@ -94,9 +95,6 @@ def read_kv(path) -> dict[str, str]:
 
 
 def write_kv(path, entries: dict[str, str], header: str | None = None) -> None:
-    lines = []
-    if header:
-        lines.append(f"# {header}")
-    for key, value in entries.items():
-        lines.append(f"{key} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {header}\n" if header else "")
+        fh.writelines(f"{key} = {value}\n" for key, value in entries.items())

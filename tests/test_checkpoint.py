@@ -8,7 +8,7 @@ from hsttn.checkpoint import (
     model_from_checkpoint,
     save_checkpoint,
 )
-from hsttn.container import VERSION, read_container, write_container
+from hsttn.container import VERSION, read_container, replacing, write_container
 from hsttn.data import NormStats, Schema
 from hsttn.errors import ConfigError, IngestError
 from hsttn.model import HSTTN, ModelConfig
@@ -117,6 +117,23 @@ class TestContainer:
         write_container(tmp_path / "a.bin", {"k": 1}, arrays)
         write_container(tmp_path / "b.bin", {"k": 1}, arrays)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_a_body_that_raises_leaves_the_file_and_no_other(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("earlier")
+        with pytest.raises(KeyError), replacing(path, "w") as fh:
+            fh.write("later")
+            raise KeyError
+        assert [p.name for p in tmp_path.iterdir()] == ["c.txt"]
+        assert path.read_text() == "earlier"
+
+    def test_a_symlink_is_written_through(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("earlier")
+        link.symlink_to(target)
+        with replacing(link, "w") as fh:
+            fh.write("later")
+        assert link.is_symlink() and target.read_text() == "later"
 
 
 class TestCheckpoint:

@@ -1,8 +1,15 @@
 import contextlib
 import csv
 import io
+import os
+import shutil
+import stat
 import struct
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 from xml.etree import ElementTree as ET
 
 import numpy as np
@@ -10,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hsttn
 from hsttn import autodiff
 from hsttn.checkpoint import load_checkpoint, model_from_checkpoint, save_checkpoint
 from hsttn.cli import RunConfig, main
@@ -563,6 +571,85 @@ class TestGridCache:
         assert artifacts["cold"] == artifacts["warm"]
 
 
+def run_to_limit(argv, limit: int) -> subprocess.CompletedProcess:
+    """`hsttn argv` in a child that no file can grow past `limit` bytes in: a write
+    beyond it fails with EFBIG, as on a full disk, since SIGXFSZ is ignored."""
+    code = ("import resource, signal, sys\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "from hsttn.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(hsttn.__file__).parent.parent),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
+class TestArtifactWrites:
+    # each command in `{root}`, the files it writes in order, and the one whose write is cut
+    DATA = ["--data", "{root}/synthetic.csv", "--schema", "{root}/synthetic.schema"]
+    CASES = {
+        "synth": (["synth", "--out", "{root}", "--turbines", "2", "--timestamps", "160",
+                   "--channels", "4", "--seed", "3", "--noise", "0.05"],
+                  ["synthetic.csv", "synthetic.schema"], "synthetic.csv"),
+        "train": (["train", "--config", "{root}/run.cfg", "--out", "{root}"],
+                  ["checkpoint.bin", "train_log.csv"], "checkpoint.bin"),
+        "evaluate": (["evaluate", "--checkpoint", "{root}/checkpoint.bin", *DATA,
+                      "--start", "130", "--stride", "6", "--out", "{root}"],
+                     ["report.csv", "report.kv"], "report.csv"),
+        "predict-forecast": (["predict", "--checkpoint", "{root}/checkpoint.bin", *DATA,
+                              "--origin", "140", "--out", "{root}"],
+                             ["forecast.csv", "truth.csv"], "forecast.csv"),
+        "plot": (["plot", "--forecast", "{root}/forecast.csv", "--truth", "{root}/truth.csv",
+                  "--turbine", "1", "--out", "{root}/plot.svg"], ["plot.svg"], "plot.svg"),
+    }
+    CASES["predict-truth"] = (*CASES["predict-forecast"][:2], "truth.csv")
+
+    @staticmethod
+    def argv(case: str, root: Path) -> list[str]:
+        return [arg.format(root=root) for arg in TestArtifactWrites.CASES[case][0]]
+
+    @staticmethod
+    def run_all(root: Path) -> None:
+        """A cold synth -> train -> evaluate -> predict -> plot, every file in `root`."""
+        (root / "run.cfg").write_text(RUN_CONFIG)
+        for case in ("synth", "train", "evaluate", "predict-forecast", "plot"):
+            assert main(TestArtifactWrites.argv(case, root)) == 0
+
+    @pytest.fixture(scope="class")
+    def earlier_run(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("earlier")
+        self.run_all(root)
+        return root
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_a_cut_write_leaves_the_earlier_artifacts(self, earlier_run, tmp_path, case):
+        """A write that fails part-way exits 3 and leaves every earlier file as it was,
+        the one it was writing included, and no other file."""
+        _, written, cut = self.CASES[case]
+        root = tmp_path / "run"
+        shutil.copytree(earlier_run, root)
+        before = {p.name: p.read_bytes() for p in root.iterdir()}
+        # the files written before the cut one fit under the limit; the cut one does not
+        sizes = [len(before[name]) for name in written[:written.index(cut)]]
+        limit = max(sizes, default=len(before[cut]) // 2)
+        assert limit < len(before[cut])
+        result = run_to_limit(self.argv(case, root), limit)
+        assert result.returncode == 3, result.stderr
+        assert "File too large" in result.stderr
+        assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+    def test_every_artifact_has_the_mode_open_gives(self, tmp_path):
+        umask = os.umask(0o022)
+        try:
+            self.run_all(tmp_path)
+        finally:
+            os.umask(umask)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in tmp_path.iterdir()}
+        assert {".synthetic.csv.hsttn-grid", "checkpoint.bin", "plot.svg"} <= set(modes)
+        assert modes == dict.fromkeys(modes, 0o644)
+
+
 class TestNonFinite:
     def test_nan_parameters_fail_evaluate_and_predict(self, workspace, tmp_path):
         ckpt = load_checkpoint(workspace / "run_out" / "checkpoint.bin")
@@ -887,6 +974,20 @@ class TestPlot:
         tree = ET.parse(svg_path)
         polylines = tree.findall(".//{http://www.w3.org/2000/svg}polyline")
         assert len(polylines) == 2
+
+    def test_a_fifo_is_written_in_place(self, forecast_files, tmp_path):
+        forecast, truth = forecast_files
+        argv = ["plot", "--forecast", str(forecast), "--truth", str(truth), "--turbine", "1"]
+        assert main([*argv, "--out", str(tmp_path / "plot.svg")]) == 0
+        fifo, delivered = tmp_path / "plot.fifo", []
+        os.mkfifo(fifo)
+        reader = threading.Thread(target=lambda: delivered.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        assert main([*argv, "--out", str(fifo)]) == 0
+        reader.join(timeout=10)
+        assert delivered == [(tmp_path / "plot.svg").read_bytes()]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
 
     def test_identical_series_coincide(self, forecast_files, tmp_path):
         forecast, _ = forecast_files

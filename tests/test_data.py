@@ -724,7 +724,7 @@ class TestGridCache:
         if failure == "read-only-directory":
             tmp_path.chmod(0o555)
             if os.geteuid() == 0:  # root writes there anyway: fail as for other users
-                monkeypatch.setattr("tempfile.mkstemp", refuse)
+                monkeypatch.setattr("hsttn.container.open", refuse, raising=False)
         else:
             monkeypatch.setattr("os.replace", refuse)
         try:
