@@ -5,10 +5,10 @@ matrix products, multi-head attention along any axis as one op, ReLU,
 channel-wise 1x1 convolution, temporal max-pooling, stride-expanding
 transposed convolution, concatenation, dropout, broadcasting views, and a
 few elementwise helpers.
-Forward values live in numpy arrays; gradients are accumulated on
-`Tensor.grad` by replaying a `GradTape` in reverse. The replay consumes
-the tape: each node is dropped as its rule starts, and the arrays the
-rule saved once it has run; only leaf tensors keep a gradient afterwards.
+Forward values live in numpy arrays; `backward` sums gradients on
+`Tensor.grad` by replaying a `GradTape` in reverse. A first gradient is the
+array its rule returned, not a copy, so a `.grad` may share memory with
+another tensor's and is read-only by contract, as is the `g` a rule gets.
 
 Sums run in the order their operands are stored. Turbine-permutation
 equivariance holds bitwise because `attend` puts every attended sequence
@@ -110,15 +110,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad = self.grad + g
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
@@ -174,16 +165,17 @@ def backward(loss: Tensor, tape: GradTape) -> None:
     if loss.data.shape != ():
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     tape.replayed = True
-    loss.accumulate_grad(np.ones((), dtype=np.float64))
+    loss.grad = np.ones(())
     while tape.nodes:
         _replay(tape.nodes.pop())
 
 
 def _replay(node: TapeNode) -> None:
-    """Run a node's rule and add its gradients to the node's inputs. The
-    node is dropped first, and with it its output unless a caller holds
-    it; the rule gets the only reference to the output's gradient, so it
-    can free that as it runs (CPython 3.11+ moves call arguments)."""
+    """Run a node's rule and sum its gradients into its inputs. A first gradient
+    is the array the rule returned, so a `.grad` may share memory with another
+    tensor's and is read-only by contract, as is the `g` a rule gets. The node
+    is dropped first, with its output unless held elsewhere; the rule gets the
+    only reference to `g` and can free it as it runs (CPython 3.11+ moves it)."""
     inputs, rule, pending = node.inputs, node.rule, [node.output.grad]
     node.output.grad = None
     del node
@@ -191,7 +183,7 @@ def _replay(node: TapeNode) -> None:
         return
     for t, gi in zip(inputs, rule(pending.pop())):
         if gi is not None and t.requires_grad:
-            t.accumulate_grad(gi)
+            t.grad = gi if t.grad is None else t.grad + gi
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -633,7 +625,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: RngStream | None) -> Te
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return _op(np.sum(a.data), (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
+    return _op(np.sum(a.data), (a,), lambda g: (np.broadcast_to(g, a.shape),))
 
 
 def pointwise_conv(x: Tensor, w: Tensor, b: Tensor, activation: bool = True) -> Tensor:

@@ -246,6 +246,8 @@ def cmd_predict(args) -> int:
         _write_table(out / "truth.csv", ["turbine", "step", "actual_power", "valid"],
                      ([n, k, repr(v), int(ok)] for n, p in enumerate(truth)
                       for k, (v, ok) in enumerate(zip(p, window.future_validity[n].tolist()))))
+    else:  # an older window's truth would otherwise pair with this forecast in `plot`
+        (out / "truth.csv").unlink(missing_ok=True)
     print(f"forecast for {pred.shape[0]} turbines x {pred.shape[1]} steps "
           f"-> {out / 'forecast.csv'}" + (" (+ truth.csv)" if wrote_truth else ""))
     return EXIT_OK
@@ -356,7 +358,7 @@ def cmd_plot(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with replacing(out, "w", encoding="utf-8", errors="xmlcharrefreplace") as fh:
         ET.ElementTree(svg).write(fh, encoding="unicode", xml_declaration=True)
-    print(f"plot -> {out}")
+    print(f"plot -> {out}", file=sys.stderr)  # the SVG itself may go to stdout
     return EXIT_OK
 
 

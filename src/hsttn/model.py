@@ -178,7 +178,7 @@ class ModelParameters:
 
     def zero_grad(self) -> None:
         for t in self._tensors.values():
-            t.zero_grad()
+            t.grad = None
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {k: t.data.copy() for k, t in self._tensors.items()}

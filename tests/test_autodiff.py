@@ -37,6 +37,8 @@ from hsttn.autodiff import (
     upconv1d,
 )
 from hsttn.errors import ConfigError, ContractError, OracleError, ShapeError
+from hsttn.model import HSTTN, ModelConfig, variant_config
+from hsttn.training import mse_loss
 
 finite_arrays = arrays(
     np.float64,
@@ -873,6 +875,87 @@ class TestOpContract:
         # outside any tape the output still requires a gradient, unrecorded
         out = op(*args(*[True] * len(shapes)))
         assert out.requires_grad and tape.nodes == [] and outer.nodes == []
+
+
+def hand_read_only_gradients(monkeypatch):
+    """Patch `_replay` so that every rule is handed a read-only view of its
+    gradient, unless that is a numpy scalar, which is immutable already: a
+    rule that writes into it raises."""
+    replay = autodiff._replay
+
+    def guarded(node):
+        rule = node.rule
+
+        def frozen(g):
+            if isinstance(g, np.ndarray):
+                g = g.view()
+                g.flags.writeable = False
+            return rule(g)
+
+        node.rule = frozen
+        replay(node)
+
+    monkeypatch.setattr(autodiff, "_replay", guarded)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# every op that records a node, with attention along both axes and as self-attention
+CONTRACT_CASES = {
+    **OP_CASES,
+    "attend_axis_-3": (lambda *t: attend(*t, n_heads=2, axis=-3),
+                       [(3, 2, 4), (5, 2, 4), (4, 2), (4, 2), (4, 2), (2, 4)]),
+    "self_attend": (lambda x, *w: attend(x, x, *w, n_heads=2),
+                    [(2, 5, 4), (4, 2), (4, 2), (4, 2), (2, 4)]),
+    "self_attend_axis_-3": (lambda x, *w: attend(x, x, *w, n_heads=2, axis=-3),
+                            [(5, 2, 4), (4, 2), (4, 2), (4, 2), (2, 4)]),
+}
+
+
+class TestGradientContract:
+    """No rule writes into the gradient it is handed, which `_replay` may
+    also have stored as another tensor's `.grad` (see its docstring)."""
+
+    @pytest.mark.parametrize("name", list(CONTRACT_CASES))
+    def test_op_rules_leave_their_gradient_unwritten(self, monkeypatch, name):
+        op, shapes = CONTRACT_CASES[name]
+
+        def grads():
+            rng = np.random.default_rng(0)
+            inputs = [leaf(rng.normal(size=s)) for s in shapes]
+            with GradTape() as tape:
+                out = op(*inputs)
+                loss = sum_all(mul(out, Tensor(rng.normal(size=out.shape))))
+            backward(loss, tape)
+            return [t.grad for t in inputs]
+
+        plain = grads()
+        hand_read_only_gradients(monkeypatch)
+        assert all(same_bits(a, b) for a, b in zip(grads(), plain, strict=True))
+
+    @pytest.mark.parametrize("name", ["hsttn", "st_only", "t_only", "noskip"])
+    def test_model_rules_leave_their_gradient_unwritten(self, monkeypatch, name):
+        cfg = variant_config(ModelConfig(n_turbines=4, n_channels=5, history_len=24,
+                                         horizon_len=24, d_model=8, dropout_rate=0.2), name)
+        rng = np.random.default_rng(1)
+        x, y = rng.normal(size=(2, 4, 24, 5)), rng.normal(size=(2, 4, 24, 1))
+        mask = rng.random(size=(2, 4, 24)) < 0.9
+
+        def grads():
+            model = HSTTN(cfg, seed=2)
+            with GradTape() as tape:
+                loss = mse_loss(model.forward(Tensor(x), training=True, rng=RngStream(3)),
+                                y, mask)
+            backward(loss, tape)
+            return {k: t.grad for k, t in model.params.trainable().items()}
+
+        plain = grads()
+        hand_read_only_gradients(monkeypatch)
+        guarded = grads()
+        assert guarded.keys() == plain.keys()
+        assert all(same_bits(guarded[k], plain[k]) for k in plain)
 
 
 class TestTensorInvariants:

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import os
 import shutil
@@ -321,6 +322,22 @@ class TestTrain:
         assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 3
         assert f"['{last}'] repeated in header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: [r[:-1] for r in rows], "schema column(s) ['Patv'] absent from header"),
+        (lambda rows: rows[:1], "no data rows"),
+    ], ids=["no_target_column", "header_only"])
+    def test_records_without_target_or_rows_are_io_errors(self, workspace, tmp_path, capsys,
+                                                          edit, message):
+        (tmp_path / "run.cfg").write_text((workspace / "run.cfg").read_text())
+        (tmp_path / "synthetic.schema").write_text(
+            (workspace / "synthetic.schema").read_text())
+        rows = [line.split(",") for line in (workspace / "synthetic.csv").read_text().splitlines()]
+        assert rows[0][-1] == "Patv"
+        (tmp_path / "synthetic.csv").write_text("".join(",".join(r) + "\n" for r in edit(rows)))
+        assert main(["train", "--config", str(tmp_path / "run.cfg")]) == 3
+        assert f"{tmp_path / 'synthetic.csv'}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "run_out").exists()
+
     def test_row_wider_than_header_is_io_error(self, workspace, tmp_path, capsys):
         (tmp_path / "run.cfg").write_text((workspace / "run.cfg").read_text())
         (tmp_path / "synthetic.schema").write_text(
@@ -407,6 +424,17 @@ class TestPredict:
             (n, k) for n in range(2) for k in range(6)]
         assert not (tmp_path / "truth.csv").exists()
 
+    def test_horizon_past_the_data_removes_an_older_truth(self, workspace, tmp_path):
+        # else `plot` would draw this forecast against the older window's actuals
+        assert self.predict_at(workspace, tmp_path, 160 - 6) == 0
+        assert (tmp_path / "truth.csv").exists()
+        assert self.predict_at(workspace, tmp_path, 157) == 0
+        assert not (tmp_path / "truth.csv").exists()
+        assert main(["plot", "--forecast", str(tmp_path / "forecast.csv"),
+                     "--truth", str(tmp_path / "truth.csv"),
+                     "--out", str(tmp_path / "plot.svg")]) == 3
+        assert not (tmp_path / "plot.svg").exists()
+
     def test_last_full_horizon_writes_truth(self, workspace, tmp_path):
         assert self.predict_at(workspace, tmp_path, 160 - 6) == 0
         ckpt = load_checkpoint(workspace / "run_out" / "checkpoint.bin")
@@ -442,8 +470,8 @@ class TestPredict:
 
 
 class TestCheckpointTarget:
-    """A data schema must name the target the checkpoint was trained on:
-    de-normalising with another channel's statistics is refused."""
+    """A data schema must name the channels and the target the checkpoint was
+    trained on: de-normalising with another channel's statistics is refused."""
 
     @pytest.mark.parametrize("command, window", [
         ("predict", ["--origin", "140"]),
@@ -460,6 +488,20 @@ class TestCheckpointTarget:
         assert code == 2
         err = capsys.readouterr().err
         assert "'Wspd'" in err and "'Patv'" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_renamed_channel_is_usage_error(self, workspace, tmp_path, capsys):
+        # the data reads cleanly under its own schema, but its channels are not the checkpoint's
+        for name in ("synthetic.csv", "synthetic.schema"):
+            text = (workspace / name).read_text()
+            assert text.count("Etmp") == 1
+            (tmp_path / name).write_text(text.replace("Etmp", "Temp"))
+        code = main(["evaluate", "--checkpoint", str(workspace / "run_out" / "checkpoint.bin"),
+                     "--data", str(tmp_path / "synthetic.csv"),
+                     "--schema", str(tmp_path / "synthetic.schema"),
+                     "--start", "130", "--stride", "6", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "dataset channels do not match" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 
@@ -763,6 +805,24 @@ class TestCorruptCheckpoint:
                      "--schema", str(workspace / "synthetic.schema"),
                      "--origin", "140", "--out", str(path.parent / "out")])
 
+    @pytest.mark.parametrize("entry, shown", [
+        (struct.pack("<H3sBB33Q", 3, b"odd", 0, 33, *[1] * 33), "array 'odd' has 33 dimensions"),
+        (struct.pack("<H3sBBQ", 3, b"\xffdd", 0, 1, 1), "corrupt array name"),
+    ], ids=["33_dimensions", "name_not_utf8"])
+    def test_unreadable_array_entry_is_io_error(self, workspace, tmp_path, capsys, entry,
+                                                shown):
+        header, arrays = read_container(workspace / "run_out" / "checkpoint.bin")
+        path = tmp_path / "checkpoint.bin"
+        write_container(path, header, {**arrays, "odd": np.zeros(1)})
+        body = path.read_bytes()[:-32]
+        plain = struct.pack("<H3sBBQ", 3, b"odd", 0, 1, 1)
+        assert body.count(plain) == 1
+        body = body.replace(plain, entry)
+        path.write_bytes(body + hashlib.sha256(body).digest())  # a trailer that matches
+        assert self.run_predict(workspace, path) == 3
+        assert f"error: {path}: {shown}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_deeply_nested_header_is_io_error(self, workspace, tmp_path, capsys):
         blob = (workspace / "run_out" / "checkpoint.bin").read_bytes()
         (header_len,) = struct.unpack("<Q", blob[8:16])
@@ -988,6 +1048,27 @@ class TestPlot:
         reader.join(timeout=10)
         assert delivered == [(tmp_path / "plot.svg").read_bytes()]
         assert stat.S_ISFIFO(fifo.lstat().st_mode)
+
+    @pytest.mark.parametrize("sink", ["file", "pipe"])
+    def test_stdout_gets_the_svg_and_nothing_else(self, forecast_files, tmp_path, sink):
+        # /proc/self/fd/1, not /dev/stdout: the suite may run as root, and a regression
+        # must not be able to replace the host's /dev/stdout
+        forecast, truth = forecast_files
+        argv = ["plot", "--forecast", str(forecast), "--truth", str(truth), "--turbine", "1"]
+        assert main([*argv, "--out", str(tmp_path / "plot.svg")]) == 0
+        command = [sys.executable, "-m", "hsttn.cli", *argv, "--out", "/proc/self/fd/1"]
+        env = {**os.environ, "PYTHONPATH": str(Path(hsttn.__file__).parent.parent)}
+        if sink == "file":
+            with (tmp_path / "stdout").open("wb") as fh:
+                result = subprocess.run(command, env=env, stdout=fh, stderr=subprocess.PIPE,
+                                        timeout=120)
+            shown = (tmp_path / "stdout").read_bytes()
+        else:
+            result = subprocess.run(command, env=env, capture_output=True, timeout=120)
+            shown = result.stdout
+        assert result.returncode == 0
+        assert shown == (tmp_path / "plot.svg").read_bytes()
+        assert result.stderr.decode().splitlines() == ["plot -> /proc/self/fd/1"]
 
     def test_identical_series_coincide(self, forecast_files, tmp_path):
         forecast, _ = forecast_files
