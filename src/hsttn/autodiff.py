@@ -182,8 +182,8 @@ def _replay(node: TapeNode) -> None:
     if pending[0] is None:
         return
     for t, gi in zip(inputs, rule(pending.pop())):
-        if gi is not None and t.requires_grad:
-            t.grad = gi if t.grad is None else t.grad + gi
+        if gi is not None and t.requires_grad:  # an array, not a numpy scalar of a 0-d one
+            t.grad = np.asarray(gi if t.grad is None else t.grad + gi)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -360,13 +360,15 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     (sequences, heads, L, width): the other leading axes become one axis
     of independent sequences. It then runs a slice of a few whole
     sequences at a time (`_chunks`, shared among threads by `_run_chunks`),
-    turning each chunk's scores q @ k^T
-    into probabilities in place, so one chunk of (heads, Lq, Lk) scores
-    exists at a time and stays in cache. The op keeps its inputs, the key
-    order, the heads' contexts and each score row's max and normaliser; its
-    backward rebuilds the rows, q, k, v and, chunk by chunk, the probabilities
-    with the forward's own calls, so bitwise. A `probs` list receives the
-    probabilities in sequence layout, scattered back like the keys' gradient.
+    so one chunk of (heads, Lq, Lk) scores exists at a time and stays in
+    cache. Each chunk's scores become e = exp(s - max) in place, and the
+    contexts (e @ v) / rowsum(e) are normalised per (Lq, width) row rather
+    than per score. The op keeps its inputs, the key order, the contexts and
+    one log-sum-exp per score row; its backward rebuilds the rows, q, k and
+    v with the forward's own calls, each chunk's probabilities as
+    exp(s - lse), and takes the softmax's row term from the contexts,
+    rowsum(g_ctx * ctx). A `probs` list receives the probabilities in
+    sequence layout, scattered back like the keys' gradient.
     """
     nd = query.ndim
     fits = nd >= 2 and keys.ndim == nd and axis != -1 and axis in range(-nd, nd - 1)
@@ -406,20 +408,24 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
     rows, q, k, v = project()
     chunks = _chunks(len(q), q.shape[1] * q.shape[2] * k.shape[2])
     # each chunk's results go into arrays laid out as the whole products' are
-    ctx, peak, norm = (np.empty(q.shape[:-1] + (n,)) for n in (v.shape[-1], 1, 1))
+    ctx, lse = (np.empty(q.shape[:-1] + (n,)) for n in (v.shape[-1], 1))
     if probs is not None:
         seq_probs = np.empty(q.shape[:-1] + k.shape[2:3])
         probs.append(seq_probs.reshape(lead + seq_probs.shape[1:]))
         seq_order = order.reshape(-1, 1, 1, k.shape[2])
 
     def forward_chunk(ix):
-        p = np.matmul(q[ix], k[ix].swapaxes(-1, -2))
-        peak[ix], norm[ix] = _softmax_in_place(p)
+        e = np.matmul(q[ix], k[ix].swapaxes(-1, -2))
+        peak = e.max(axis=-1, keepdims=True)
+        e -= peak
+        np.exp(e, out=e)
+        norm = e.sum(axis=-1, keepdims=True)
+        ctx[ix] = np.matmul(e, v[ix]) / norm
+        lse[ix] = peak + np.log(norm)
         if probs is not None:
             # column j belongs to key order[j]: scatter it back to that column
-            np.put_along_axis(seq_probs[ix], seq_order[ix], p, axis=-1)
-        ctx[ix] = np.matmul(p, v[ix])
-        del p  # before the next chunk's scores, which can then reuse its memory
+            np.put_along_axis(seq_probs[ix], seq_order[ix], e / norm, axis=-1)
+        del e  # before the next chunk's scores, which can then reuse its memory
 
     _run_chunks(forward_chunk, chunks)
     ctx = merge_heads(ctx)
@@ -435,24 +441,27 @@ def attend(query: Tensor, keys: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: 
         g = g.swapaxes(axis, -2)
         g_ctx = np.matmul(g, wo.data.T)
         g_wo = _weight_grad(ctx, g)
-        del g, ctx  # each the size of the output, freed before the attention products
+        del g  # the size of the output, freed before the attention products
         rows, q, k, v = project()
-        g_ctx = split_heads(g_ctx)
-        # laid out as the whole products were; g_k as the transpose of q^T @ g_p
+        g_ctx, ctx = split_heads(g_ctx), split_heads(ctx)
+        # laid out as the whole products were; g_k as the transpose of q^T @ g_s
         g_q, g_v = np.empty(q.shape), np.empty(v.shape)
         g_k = np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2])).swapaxes(-1, -2)
 
         def backward_chunk(ix):
             p = np.matmul(q[ix], k[ix].swapaxes(-1, -2))
-            _softmax_in_place(p, (peak[ix], norm[ix]))
+            p -= lse[ix]
+            np.exp(p, out=p)
             g_v[ix] = np.matmul(p.swapaxes(-1, -2), g_ctx[ix])
-            g_p = _softmax_grad_in_place(np.matmul(g_ctx[ix], v[ix].swapaxes(-1, -2)), p)
-            g_q[ix] = np.matmul(g_p, k[ix])
-            g_k[ix] = np.matmul(q[ix].swapaxes(-1, -2), g_p).swapaxes(-1, -2)
-            del p, g_p
+            g_s = np.matmul(g_ctx[ix], v[ix].swapaxes(-1, -2))
+            g_s -= (g_ctx[ix] * ctx[ix]).sum(axis=-1, keepdims=True)
+            g_s *= p
+            g_q[ix] = np.matmul(g_s, k[ix])
+            g_k[ix] = np.matmul(q[ix].swapaxes(-1, -2), g_s).swapaxes(-1, -2)
+            del p, g_s
 
         _run_chunks(backward_chunk, chunks)
-        del q, k, v  # before the input gradients: about a quarter off a paper-scale peak
+        del q, k, v, ctx  # before the input gradients: about a quarter off a paper-scale peak
         g_v, g_k = merge_heads(g_v), merge_heads(g_k)
         g_rows = np.matmul(g_v, wv.data.T)
         g_wv = _weight_grad(rows, g_v)
@@ -501,28 +510,6 @@ def relu(a: Tensor) -> Tensor:
     return _op(np.maximum(a.data, 0.0), (a,), lambda g: (g * mask,))
 
 
-def _softmax_in_place(s: np.ndarray, stats=None):
-    """Overwrite scores `s` with their stable softmax over the last axis
-    and return each row's (max, normaliser). Given the `stats` of an
-    earlier call on the same scores, it reproduces that call's output
-    bitwise without summing again."""
-    peak = s.max(axis=-1, keepdims=True) if stats is None else stats[0]
-    s -= peak
-    np.exp(s, out=s)
-    if stats is None:
-        stats = peak, s.sum(axis=-1, keepdims=True)
-    s /= stats[1]
-    return stats
-
-
-def _softmax_grad_in_place(g: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Overwrite `g`, a gradient with respect to softmax outputs `p`, with
-    the gradient with respect to the scores."""
-    g -= (g * p).sum(axis=-1, keepdims=True)
-    g *= p
-    return g
-
-
 def softmax_rows(a: Tensor) -> Tensor:
     """Stable softmax over the last axis whose normaliser sums each row in
     sorted order, so each output row is bitwise invariant to reordering
@@ -534,7 +521,7 @@ def softmax_rows(a: Tensor) -> Tensor:
         raise ShapeError(f"softmax_rows needs a non-empty last axis, got shape {a.shape}")
     y = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
     y /= np.sort(y, axis=-1).sum(axis=-1, keepdims=True)
-    return _op(y, (a,), lambda g: (_softmax_grad_in_place(g.copy(), y),))
+    return _op(y, (a,), lambda g: ((g - (g * y).sum(axis=-1, keepdims=True)) * y,))
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:

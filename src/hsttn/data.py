@@ -229,11 +229,11 @@ def _c_columns(block: list[str], text: str, dtype: np.dtype):
     """Unquoted CSV lines `block`, joined in `text`, as columns numpy's C reader reads into
     `dtype`, with each empty or missing field read as nan where it refuses the lines as they
     are; None where it still refuses them or may differ from the csv walk (a NUL, a blank
-    line, a line over the csv field limit, a full key field, an empty or missing key)."""
+    line, a line over the csv field limit, an empty or missing key)."""
     if text.isspace() or "\0" in text or max(map(len, block)) > csv.field_size_limit():
         return None
     read = partial(np.loadtxt, dtype=dtype, comments=None, delimiter=",", ndmin=1)
-    keys = [f for f in dtype.names if dtype[f].kind == "U"]  # it cuts a text longer than its field
+    keys = [f for f in dtype.names if dtype[f].kind == "O"]  # read as Python strings
     try:
         table, filled = read(block), False
     except ValueError:  # it refuses an empty field: read the block again with those as nan
@@ -241,9 +241,7 @@ def _c_columns(block: list[str], text: str, dtype: np.dtype):
             table, filled = read([_filled(text, len(dtype)) for text in block]), True
         except ValueError:
             return None
-    if (len(table) != len(block)
-            or any(np.char.str_len(table[f]).max() * 4 == dtype[f].itemsize for f in keys)
-            or filled and any((table[f] == "nan").any() for f in keys)):
+    if len(table) != len(block) or filled and any((table[f] == "nan").any() for f in keys):
         return None
     return [table[f].tolist() if f in keys else table[f] for f in dtype.names]
 
@@ -352,7 +350,7 @@ def _store_grid(path: Path, stamp: tuple[int, int], sidecar: Path, key: str,
 def _parse_records(path: Path, schema: Schema) -> RecordSet:
     """`load_records`' parse of the record file `path`, without its grid cache."""
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
+        with path.open(newline="", encoding="utf-8-sig") as fh:  # a leading BOM is skipped
             first = next(fh, None)
             if first is None:
                 raise IngestError(f"{path}: file is empty")
@@ -374,7 +372,7 @@ def _parse_records(path: Path, schema: Schema) -> RecordSet:
                     (col[schema.time_column], lambda t: _parse_time(t, schema.step_minutes))]
             codes, parsed = ({}, {}, {}), ([], [], [])  # per key column: text -> index, values
             blocks, readings = [], []
-            dtype = np.dtype([(str(i), "U12" if i in dict(keys) else "f8") for i in range(width)])
+            dtype = np.dtype([(str(i), "O" if i in dict(keys) else "f8") for i in range(width)])
 
             def parse_block(columns, lines):
                 results = [_key_column(columns[ci], codes[k], parsed[k], parse)

@@ -75,7 +75,7 @@ def parse_fields(source, entries: Mapping, fields: Mapping[str, Field],
 def read_kv(path) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading BOM is skipped
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -137,6 +137,66 @@ class TestAttend:
         assert np.allclose(probs[0], p[None, None, :], rtol=0, atol=1e-15)
         assert out.item() == pytest.approx(-2.0 * (p @ (3.0 * kv[:, 0])), abs=1e-14)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("axis, self_attention", [
+        (-2, False), (-2, True), (-3, False), (-3, True)])
+    def test_matches_a_plain_multi_head_reference(self, monkeypatch, axis, self_attention,
+                                                  workers):
+        # per head softmax(q k^T / sqrt(width)) v, the heads side by side, then
+        # wo, computed outside the op over 10 sequences in 4 chunks
+        rng = np.random.default_rng(26)
+        n_heads, lq, lk = 2, 3, 3 if self_attention else 4
+        weights = attention_weights(rng, 4, 6, 4, d_out=3)
+        query = rng.normal(size=(2, 5, lq, 4))
+        keys = query if self_attention else rng.normal(size=(2, 5, lk, 4))
+        monkeypatch.setattr(autodiff, "_CHUNK_SCORES", 3 * n_heads * lq * lk)
+        monkeypatch.setattr(autodiff, "_WORKERS", workers)
+        assert len(autodiff._chunks(10, n_heads * lq * lk)) >= 3
+
+        def heads(x, w):
+            return np.stack(np.split(x @ w.data, n_heads, axis=-1))  # (heads, 2, 5, L, width)
+
+        q, k, v = heads(query, weights[0]), heads(keys, weights[1]), heads(keys, weights[2])
+        scores = q @ np.swapaxes(k, -1, -2) / math.sqrt(q.shape[-1])
+        p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p /= p.sum(axis=-1, keepdims=True)
+        want = np.concatenate(list(p @ v), axis=-1) @ weights[3].data
+        x_query, x_keys = (Tensor(np.swapaxes(a, axis, -2)) for a in (query, keys))
+        probs = []
+        out = attend(x_query, x_query if self_attention else x_keys, *weights, n_heads,
+                     axis=axis, probs=probs)
+        got = np.swapaxes(out.data, axis, -2)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+        np.testing.assert_allclose(probs[0], np.moveaxis(p, 0, -3), rtol=1e-12, atol=1e-300)
+
+    def test_saturated_scores_stay_finite(self):
+        # every score row spans more than 1,400, so exp of the unshifted scores
+        # would overflow; the output, its six gradients and the probabilities
+        # stay finite, and the gradients pass the finite-difference check
+        rng = np.random.default_rng(25)
+        weights = attention_weights(rng, 4, 6, 4, d_out=3)
+        query, keys = 100 * rng.normal(size=(2, 5, 3, 4)), 100 * rng.normal(size=(2, 5, 4, 4))
+        proj = Tensor(rng.normal(size=(2, 5, 3, 3)))
+        inputs = [leaf(query), leaf(keys), *weights]
+        q = np.stack(np.split(query @ weights[0].data, 2, axis=-1)) / math.sqrt(3)
+        k = np.stack(np.split(keys @ weights[1].data, 2, axis=-1))
+        scores = q @ np.swapaxes(k, -1, -2)
+        assert np.ptp(scores, axis=-1).min() > 1400 and np.abs(scores).max() > 710
+        probs = []
+        with GradTape() as tape:
+            out = attend(*inputs, 2, probs=probs)
+            loss = sum_all(mul(out, proj))
+        backward(loss, tape)
+        assert np.isfinite(out.data).all()
+        assert all(np.isfinite(t.grad).all() for t in inputs)
+        assert np.all(np.abs(probs[0].sum(axis=-1) - 1.0) <= 1e-12)
+        for i, x in enumerate(inputs):
+            def f(t, i=i):
+                return sum_all(mul(attend(*inputs[:i], t, *inputs[i + 1:], 2), proj))
+
+            report = grad_check(f, x)
+            assert report.passed, (i, report.max_rel_error)
+
     def test_key_gradient_goes_back_through_inverse(self):
         # the keys are gathered into canonical order; their gradient comes
         # back in the caller's order, so shuffling the keys shuffles it
@@ -297,13 +357,16 @@ class TestAttend:
         query, keys, proj = (np.swapaxes(a, axis, -2) for a in (query, keys, proj))
         monkeypatch.setattr(autodiff, "_CHUNK_SCORES", 4 * n_heads * lq * lk)
         assert [len(range(10)[ix]) for ix in autodiff._chunks(10, n_heads * lq * lk)] == [4, 4, 2]
-        softmax, threads = autodiff._softmax_in_place, []
+        run_chunks, threads = autodiff._run_chunks, []
 
-        def counted_softmax(*args):
-            threads.append(threading.current_thread() is threading.main_thread())
-            return softmax(*args)
+        def counted_run_chunks(fn, chunks):
+            def counted(ix):
+                threads.append(threading.current_thread() is threading.main_thread())
+                return fn(ix)
 
-        monkeypatch.setattr(autodiff, "_softmax_in_place", counted_softmax)
+            return run_chunks(counted, chunks)
+
+        monkeypatch.setattr(autodiff, "_run_chunks", counted_run_chunks)
 
         def run(workers):
             monkeypatch.setattr(autodiff, "_WORKERS", workers)
@@ -581,6 +644,16 @@ class TestBackward:
         backward(loss, tape)
         assert np.array_equal(x.grad, [5.0, 6.0])
 
+    @pytest.mark.parametrize("op", [mul, add])
+    def test_gradient_of_a_0d_leaf_is_an_array(self, op):
+        # a 0-d product or sum gives numpy scalars; `_replay` stores arrays
+        x = Tensor(np.float64(2.0), requires_grad=True)
+        with GradTape() as tape:
+            loss = op(x, x)
+        backward(loss, tape)
+        assert type(x.grad) is np.ndarray and x.grad.shape == ()
+        assert x.grad == (4.0 if op is mul else 2.0)
+
     def test_non_scalar_loss_rejected(self):
         x = leaf(np.ones(3))
         with GradTape() as tape:
@@ -650,7 +723,7 @@ class TestBackward:
 
     def test_attention_keeps_its_inputs_not_its_projections(self):
         # at the shape above the output and the heads' contexts are 1 MiB
-        # each and the score stats 128 KiB; keeping the gathered rows, q, k
+        # each and the rows' log-sum-exp 64 KiB; keeping the gathered rows, q, k
         # and v as well would record 1.25 MiB more
         rng = np.random.default_rng(16)
         x = leaf(rng.normal(size=(256, 32, 2)) / 4)
@@ -879,17 +952,15 @@ class TestOpContract:
 
 def hand_read_only_gradients(monkeypatch):
     """Patch `_replay` so that every rule is handed a read-only view of its
-    gradient, unless that is a numpy scalar, which is immutable already: a
-    rule that writes into it raises."""
+    gradient: a rule that writes into it raises."""
     replay = autodiff._replay
 
     def guarded(node):
         rule = node.rule
 
         def frozen(g):
-            if isinstance(g, np.ndarray):
-                g = g.view()
-                g.flags.writeable = False
+            g = g.view()
+            g.flags.writeable = False
             return rule(g)
 
         node.rule = frozen

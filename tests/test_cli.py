@@ -583,6 +583,31 @@ class TestEvaluate:
         assert not (tmp_path / "report.kv").exists()
 
 
+class TestByteOrderMark:
+    def test_leading_bom_is_skipped(self, tmp_path):
+        """A record file, schema and run config that each start with a UTF-8
+        byte-order mark, as Excel's "CSV UTF-8" writes one, train and evaluate
+        to the same report as the files without it."""
+        assert main(["synth", "--out", str(tmp_path / "plain"), "--turbines", "2",
+                     "--timestamps", "160", "--channels", "4", "--seed", "3",
+                     "--noise", "0.05"]) == 0
+        (tmp_path / "plain" / "run.cfg").write_text(RUN_CONFIG)
+        (tmp_path / "bom").mkdir()
+        for name in ("synthetic.csv", "synthetic.schema", "run.cfg"):
+            text = (tmp_path / "plain" / name).read_bytes()
+            (tmp_path / "bom" / name).write_bytes(b"\xef\xbb\xbf" + text)
+        reports = []
+        for run in ("plain", "bom"):
+            root = tmp_path / run
+            assert main(["train", "--config", str(root / "run.cfg")]) == 0
+            assert main(["evaluate", "--checkpoint", str(root / "run_out" / "checkpoint.bin"),
+                         "--data", str(root / "synthetic.csv"),
+                         "--schema", str(root / "synthetic.schema"),
+                         "--start", "130", "--stride", "6", "--out", str(root / "eval")]) == 0
+            reports.append((root / "eval" / "report.kv").read_bytes())
+        assert reports[0] == reports[1]
+
+
 class TestGridCache:
     def test_cold_and_warm_caches_write_the_same_artifacts(self, tmp_path, monkeypatch):
         """train -> evaluate -> predict writes the same bytes whether each load

@@ -540,7 +540,7 @@ TRICKY_FILES = [
     ("nul-in-channel", lambda lines, b: "\n".join(edit(lines, b + 2, 4, "5\0"))),
     ("field-over-the-csv-limit", lambda lines, b: "\n".join(
         edit(lines, b + 3, 3, "1" * (csv.field_size_limit() + 1)))),
-    # numpy keeps 12 characters of a key text and cuts the rest
+    # ids of 12 characters or more, which a fixed-width key field would cut
     ("ids-longer-than-the-key-field", lambda lines, b: "\n".join(
         each_id(lines, lambda i: f"12345678901234{i}"))),
     ("ids-filling-the-key-field", lambda lines, b: "\n".join(
@@ -586,6 +586,21 @@ class TestCReader:
         else:
             path.write_text(content + "\n", newline="")
         fast = load_outcome(path, small_schema())
+        monkeypatch.setattr("hsttn.data._c_columns", lambda *args: None)
+        parse_again(path)
+        assert load_outcome(path, small_schema()) == fast
+
+    def test_twenty_digit_ids_stay_on_the_c_reader(self, tmp_path, monkeypatch):
+        # numpy reads the key fields as Python strings of any length
+        lines = each_id(self.farm_lines(12), lambda i: str(2 ** 65 + int(i)))
+        path = tmp_path / "farm.csv"
+        path.write_text("\n".join(lines) + "\n")
+        read, columns = hsttn.data._c_columns, []
+        monkeypatch.setattr("hsttn.data._c_columns",
+                            lambda *args: (columns.append(read(*args)), columns[-1])[1])
+        fast = load_outcome(path, small_schema())
+        assert columns and all(c is not None for c in columns)
+        assert fast[2] == (2 ** 65 + 1, 2 ** 65 + 2) and len(str(2 ** 65)) == 20
         monkeypatch.setattr("hsttn.data._c_columns", lambda *args: None)
         parse_again(path)
         assert load_outcome(path, small_schema()) == fast
